@@ -1,9 +1,9 @@
 // Microbenchmarks for the MILP substrate: simplex pivoting, branch and
-// bound, the per-program stage-packing model, plus thread-count,
-// warm-vs-cold, and revised-vs-dense-kernel sweeps. Has a custom main: after
-// the google-benchmark suites it writes a BENCH_milp.json perf-trajectory
-// summary (pass --sweep-only to skip the google-benchmark portion, --smoke
-// for a short-capped CI check that exits nonzero on any solver error).
+// bound, the per-program stage-packing model, plus thread-count and
+// warm-vs-cold sweeps. Has a custom main: after the google-benchmark suites
+// it writes a BENCH_milp.json perf-trajectory summary (pass --sweep-only to
+// skip the google-benchmark portion, --smoke for a short-capped CI check
+// that exits nonzero on any solver error).
 // Accepts the common tool flags --threads/--seed/--time-limit and the obs
 // exports --trace-out/--metrics-out (see bench_util.h); unknown flags other
 // than --benchmark_* exit 2.
@@ -194,46 +194,35 @@ milp::Model sweep_p1(std::uint64_t seed) {
     return f.model();
 }
 
-// Timed sweeps behind BENCH_milp.json: revised-vs-dense LP kernels and
-// warm-vs-cold at threads=1, a thread ladder, on (a) a seeded P#1 testbed
-// instance solved directly and (b) a seeded fat-tree workload through
-// deploy_optimal, the production entry point (segment-level, the
-// configuration the exp binaries use at that scale). The machine's
-// hardware_concurrency is recorded once under its own name; the thread
-// ladder records carry the actual swept thread counts in their names.
+// Timed sweeps behind BENCH_milp.json: warm-vs-cold at threads=1 and a
+// thread ladder, on (a) a seeded P#1 testbed instance solved directly and
+// (b) a seeded fat-tree workload through deploy_optimal, the production
+// entry point (segment-level, the configuration the exp binaries use at
+// that scale). The machine's hardware_concurrency is recorded once under
+// its own name; the thread ladder records carry the actual swept thread
+// counts in their names.
 void run_sweeps(const std::string& path) {
     std::vector<bench::BenchRecord> records;
     const double hw = static_cast<double>(std::thread::hardware_concurrency());
     records.push_back({"machine_hardware_concurrency", hw, "threads"});
 
     const milp::Model p1 = sweep_p1(13);
-    double revised_secs[2] = {0.0, 0.0};  // [cold, warm]
-    for (const bool dense : {false, true}) {
-        for (const bool warm : {false, true}) {
-            milp::MilpOptions options;
-            options.time_limit_seconds = 300.0;
-            options.threads = 1;
-            options.warm_lp_basis = warm;
-            options.use_reference_lp = dense;
-            const auto start = std::chrono::steady_clock::now();
-            const milp::MilpResult r = milp::solve_milp(p1, options);
-            const double secs = seconds_since(start);
-            const std::string tag =
-                std::string(dense ? "dense_" : "") + (warm ? "warm" : "cold");
-            records.push_back({"p1_testbed_" + tag + "_threads1_seconds", secs, "s"});
-            records.push_back({"p1_testbed_" + tag + "_nodes",
-                               static_cast<double>(r.nodes), "nodes"});
-            records.push_back({"p1_testbed_" + tag + "_lp_iterations",
-                               static_cast<double>(r.lp_iterations), "pivots"});
-            if (!dense) revised_secs[warm ? 1 : 0] = secs;
-            std::cout << "P#1 testbed threads=1 " << tag << ": " << secs << " s, "
-                      << r.nodes << " nodes, " << r.lp_iterations << " pivots\n";
-            if (dense && revised_secs[warm ? 1 : 0] > 0.0) {
-                records.push_back({std::string("p1_testbed_dense_over_revised_") +
-                                       (warm ? "warm" : "cold"),
-                                   secs / revised_secs[warm ? 1 : 0], "x"});
-            }
-        }
+    for (const bool warm : {false, true}) {
+        milp::MilpOptions options;
+        options.time_limit_seconds = 300.0;
+        options.threads = 1;
+        options.warm_lp_basis = warm;
+        const auto start = std::chrono::steady_clock::now();
+        const milp::MilpResult r = milp::solve_milp(p1, options);
+        const double secs = seconds_since(start);
+        const std::string tag = warm ? "warm" : "cold";
+        records.push_back({"p1_testbed_" + tag + "_threads1_seconds", secs, "s"});
+        records.push_back({"p1_testbed_" + tag + "_nodes",
+                           static_cast<double>(r.nodes), "nodes"});
+        records.push_back({"p1_testbed_" + tag + "_lp_iterations",
+                           static_cast<double>(r.lp_iterations), "pivots"});
+        std::cout << "P#1 testbed threads=1 " << tag << ": " << secs << " s, "
+                  << r.nodes << " nodes, " << r.lp_iterations << " pivots\n";
     }
     double threads1_secs = 0.0;
     double best_multi_secs = 1e18;
@@ -349,11 +338,11 @@ void run_sweeps(const std::string& path) {
 }
 
 // CI smoke run: short-capped solves that must come back clean. Exercises the
-// fat-tree workload through deploy_optimal plus a revised-vs-dense agreement
-// check on the P#1 testbed instance; returns nonzero on any solver error so
-// the bench job fails loudly instead of shipping a broken kernel. With
-// --trace-out/--metrics-out the run is recorded through an obs::Sink, so CI
-// can assert on the bb.* / lp.* counters it produces.
+// fat-tree workload through deploy_optimal plus the P#1 testbed instance,
+// whose default seed must prove its known optimum; returns nonzero on any
+// solver error so the bench job fails loudly instead of shipping a broken
+// kernel. With --trace-out/--metrics-out the run is recorded through an
+// obs::Sink, so CI can assert on the bb.* / lp.* counters it produces.
 int run_smoke(const bench::ToolArgs& args) {
     int failures = 0;
 
@@ -366,29 +355,31 @@ int run_smoke(const bench::ToolArgs& args) {
     const double time_limit = args.time_limit_seconds.value_or(20.0);
     const int threads = args.threads.value_or(1);
 
-    const milp::Model p1 = sweep_p1(args.seed.value_or(13));
-    double objective[2] = {0.0, 0.0};
-    for (const bool dense : {false, true}) {
+    constexpr std::uint64_t kSmokeSeed = 13;
+    constexpr double kSmokeOptimum = 2.0;  // proven optimum at kSmokeSeed
+    const std::uint64_t seed = args.seed.value_or(kSmokeSeed);
+    const milp::Model p1 = sweep_p1(seed);
+    {
         milp::MilpOptions options;
         options.time_limit_seconds = time_limit;
         options.threads = threads;
         options.sink = sink;
-        options.use_reference_lp = dense;
         const milp::MilpResult r = milp::solve_milp(p1, options);
-        objective[dense ? 1 : 0] = r.objective;
-        std::cout << "smoke P#1 " << (dense ? "dense" : "revised") << ": "
-                  << milp::to_string(r.status) << ", objective " << r.objective
-                  << ", " << r.nodes << " nodes\n";
-        if (!r.has_solution()) {
-            std::cout << "FAIL: P#1 " << (dense ? "dense" : "revised")
-                      << " solve returned " << milp::to_string(r.status) << "\n";
+        std::cout << "smoke P#1: " << milp::to_string(r.status) << ", objective "
+                  << r.objective << ", " << r.nodes << " nodes\n";
+        if (seed == kSmokeSeed) {
+            if (r.status != milp::MilpStatus::kOptimal ||
+                std::abs(r.objective - kSmokeOptimum) > 1e-5) {
+                std::cout << "FAIL: P#1 seed " << kSmokeSeed << " returned "
+                          << milp::to_string(r.status) << " objective " << r.objective
+                          << ", expected optimal " << kSmokeOptimum << "\n";
+                ++failures;
+            }
+        } else if (!r.has_solution()) {
+            std::cout << "FAIL: P#1 solve returned " << milp::to_string(r.status)
+                      << "\n";
             ++failures;
         }
-    }
-    if (std::abs(objective[0] - objective[1]) > 1e-5 * (1.0 + std::abs(objective[1]))) {
-        std::cout << "FAIL: revised objective " << objective[0]
-                  << " != dense objective " << objective[1] << "\n";
-        ++failures;
     }
 
     util::SplitMix64 rng(0xfeed);

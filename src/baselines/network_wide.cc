@@ -29,7 +29,9 @@ StrategyOutcome NetworkWideStrategy::deploy(const std::vector<prog::Program>& pr
     const net::SwitchProps& reference = net.props(programmable.front());
     std::vector<tdg::NodeId> all(t.node_count());
     for (tdg::NodeId v = 0; v < t.node_count(); ++v) all[v] = v;
-    const core::GreedyOptions chain_options{options.epsilon1, options.epsilon2};
+    core::GreedyOptions chain_options;
+    chain_options.epsilon1 = options.epsilon1;
+    chain_options.epsilon2 = options.epsilon2;
     core::GreedyResult warm = core::deploy_segments_on_chain(
         t, net,
         core::split_tdg_first_fit(t, std::move(all), reference.stages,

@@ -1,13 +1,14 @@
 // Cooperative cancellation token shared by every interruptible stage.
 //
 // A Deadline combines an optional wall-clock expiry with an optional shared
-// cancel flag. Copies are cheap and all refer to the same cancellation state,
-// so one token can be handed to a branch-and-bound worker pool, the simplex
-// pivot loops, and the greedy anchor search at once; each of them polls
-// expired() at a coarse granularity and unwinds to its best-known-feasible
-// answer instead of throwing. A default-constructed Deadline is inactive:
-// expired() is always false and the poll costs two branches, so passing one
-// through options structs that rarely set it is free.
+// poll budget (which cancel() empties). Copies are cheap and all refer to
+// the same cancellation state, so one token can be handed to a
+// branch-and-bound worker pool, the simplex pivot loops, and the greedy
+// anchor search at once; each of them polls expired() at a coarse
+// granularity and unwinds to its best-known-feasible answer instead of
+// throwing. A default-constructed Deadline is inactive: expired() is always
+// false and the poll costs two branches, so passing one through options
+// structs that rarely set it is free.
 //
 // The repair pipeline (core/repair.h) is the main producer: it creates one
 // Deadline per repair attempt and the whole ladder — reroute, re-placement,
@@ -16,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -44,23 +46,39 @@ public:
     [[nodiscard]] static Deadline cancellable(
         double seconds = std::numeric_limits<double>::infinity()) {
         Deadline d = after(seconds);
-        d.flag_ = std::make_shared<std::atomic<bool>>(false);
+        d.polls_left_ = std::make_shared<std::atomic<std::int64_t>>(
+            std::numeric_limits<std::int64_t>::max());
         return d;
     }
 
-    // True when the token can ever expire (time bound or cancel flag set up).
+    // Cancellable token that also expires on its `polls`-th expired() call,
+    // counted across every copy: a trip point set by how much work has
+    // polled rather than by the clock, so it lands at the same place on any
+    // machine (at one thread).
+    [[nodiscard]] static Deadline after_polls(std::int64_t polls) {
+        Deadline d;
+        d.polls_left_ = std::make_shared<std::atomic<std::int64_t>>(polls);
+        return d;
+    }
+
+    // True when the token can ever expire (time bound or poll budget set up).
     [[nodiscard]] bool active() const noexcept {
-        return flag_ != nullptr || at_ != Clock::time_point::max();
+        return polls_left_ != nullptr || at_ != Clock::time_point::max();
     }
 
     [[nodiscard]] bool expired() const noexcept {
-        if (flag_ && flag_->load(std::memory_order_relaxed)) return true;
+        if (polls_left_ &&
+            polls_left_->fetch_sub(1, std::memory_order_relaxed) <= 1) {
+            return true;
+        }
         return at_ != Clock::time_point::max() && Clock::now() >= at_;
     }
 
     // Seconds until expiry: +inf for inactive tokens, 0 once expired.
     [[nodiscard]] double remaining_seconds() const noexcept {
-        if (flag_ && flag_->load(std::memory_order_relaxed)) return 0.0;
+        if (polls_left_ && polls_left_->load(std::memory_order_relaxed) <= 0) {
+            return 0.0;
+        }
         if (at_ == Clock::time_point::max()) {
             return std::numeric_limits<double>::infinity();
         }
@@ -68,14 +86,16 @@ public:
         return s > 0.0 ? s : 0.0;
     }
 
-    // Trips a cancellable() token from any thread; no-op on other tokens.
+    // Trips a cancellable() or after_polls() token from any thread; no-op on
+    // other tokens.
     void cancel() const noexcept {
-        if (flag_) flag_->store(true, std::memory_order_relaxed);
+        if (polls_left_) polls_left_->store(0, std::memory_order_relaxed);
     }
 
 private:
     Clock::time_point at_ = Clock::time_point::max();
-    std::shared_ptr<std::atomic<bool>> flag_;
+    // expired() calls left before the token trips; 0 or less once tripped.
+    std::shared_ptr<std::atomic<std::int64_t>> polls_left_;
 };
 
 }  // namespace hermes::core

@@ -25,12 +25,12 @@ double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Cache key for one ordered program set. Program names cannot contain
-// newlines (the wire protocol is line-delimited), so '\n' is a safe joiner.
-std::string merge_key(const std::vector<std::string>& names) {
+// Merge-cache key of the first `count` programs of an ordered list: their
+// per-add serials, newline-joined.
+std::string merge_key(const std::vector<std::uint64_t>& serials, std::size_t count) {
     std::string key;
-    for (const std::string& n : names) {
-        key += n;
+    for (std::size_t i = 0; i < count; ++i) {
+        key += std::to_string(serials[i]);
         key += '\n';
     }
     return key;
@@ -141,10 +141,10 @@ HermesOptions Engine::hermes_options(const Deadline& deadline) {
 }
 
 const tdg::Tdg& Engine::merged_for(const std::vector<ProgramEntry>& programs) {
-    std::vector<std::string> names;
-    names.reserve(programs.size());
-    for (const ProgramEntry& p : programs) names.push_back(p.name);
-    const std::string key = merge_key(names);
+    std::vector<std::uint64_t> serials;
+    serials.reserve(programs.size());
+    for (const ProgramEntry& p : programs) serials.push_back(p.serial);
+    const std::string key = merge_key(serials, serials.size());
     ++merge_clock_;
     if (const auto it = merge_cache_.find(key); it != merge_cache_.end()) {
         it->second.last_used = merge_clock_;
@@ -159,9 +159,7 @@ const tdg::Tdg& Engine::merged_for(const std::vector<ProgramEntry>& programs) {
     tdg::Tdg combined;
     std::size_t have = 0;
     for (std::size_t take = programs.size(); take-- > 1;) {
-        std::vector<std::string> prefix(names.begin(),
-                                        names.begin() + static_cast<std::ptrdiff_t>(take));
-        const auto it = merge_cache_.find(merge_key(prefix));
+        const auto it = merge_cache_.find(merge_key(serials, take));
         if (it != merge_cache_.end()) {
             it->second.last_used = merge_clock_;
             combined = it->second.tdg;
@@ -311,8 +309,9 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
         if (m.kind != Mutation::Kind::kAddProgram) continue;
         tdg::Tdg program_tdg = m.program->to_tdg();
         const std::size_t node_count = program_tdg.node_count();
-        next.push_back(ProgramEntry{m.program->name(), std::move(*m.program),
-                                    std::move(program_tdg), node_count});
+        next.push_back(ProgramEntry{m.program->name(), next_program_serial_++,
+                                    std::move(*m.program), std::move(program_tdg),
+                                    node_count});
     }
 
     // Remap the incumbent's placements onto the next merge's id space: a
@@ -679,8 +678,9 @@ util::Status Engine::restore_snapshot(const util::Json& snapshot) {
         if (!program.ok()) return program.status();
         tdg::Tdg program_tdg = program.value().to_tdg();
         const std::size_t node_count = program_tdg.node_count();
-        next.push_back(ProgramEntry{program.value().name(), std::move(program).value(),
-                                    std::move(program_tdg), node_count});
+        next.push_back(ProgramEntry{program.value().name(), next_program_serial_++,
+                                    std::move(program).value(), std::move(program_tdg),
+                                    node_count});
     }
     util::StatusOr<Deployment> incumbent =
         deployment_from_json(snapshot.get("incumbent"));

@@ -24,8 +24,9 @@
 // program's nodes in one contiguous id range, so removing a tenant is an id
 // shift of the surviving placements instead of a re-merge unwind, and the
 // incremental ladder can treat "the affected TDG slice" as a suffix. Merges
-// are memoized per ordered program-name set (engine.merge_hits /
-// engine.merge_misses) and additions extend the cached prefix in place.
+// are memoized per ordered list of program adds (engine.merge_hits /
+// engine.merge_misses) and additions extend the cached prefix in place; a
+// program removed and re-added under the same name counts as a new add.
 //
 // Error handling is StatusOr end to end: an infeasible mutation rolls the
 // program set back and leaves the previous verified incumbent standing
@@ -73,7 +74,7 @@ struct EngineOptions : CommonOptions {
     bool always_optimal = false;
     // Budget knobs for the exact escalation.
     milp::MilpOptions milp;
-    // Memoized merges kept per ordered program-name set.
+    // Memoized merges kept per ordered list of program adds.
     std::size_t merge_cache_limit = 64;
 };
 
@@ -196,6 +197,10 @@ public:
 private:
     struct ProgramEntry {
         std::string name;
+        // Identity of this add, unique within the engine: the merge cache
+        // keys on it, so a program re-added under a removed one's name never
+        // reuses that program's merges.
+        std::uint64_t serial;
         prog::Program program;
         tdg::Tdg tdg;            // program.to_tdg(), cached
         std::size_t node_count;  // tdg.node_count()
@@ -237,6 +242,7 @@ private:
     };
     std::map<std::string, MergeEntry> merge_cache_;
     std::int64_t merge_clock_ = 0;
+    std::uint64_t next_program_serial_ = 0;
 };
 
 }  // namespace hermes::core

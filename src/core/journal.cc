@@ -344,7 +344,16 @@ std::optional<tdg::DepType> parse_dep_type(std::string_view text) noexcept {
 util::Json field_to_json(const tdg::Field& f) {
     util::JsonObject o;
     o.emplace_back("name", f.name);
+    // GCC 12 misreads the inlined vector growth below as an out-of-bounds
+    // std::pair store (-Warray-bounds); GCC 13 does not.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+#endif
     o.emplace_back("kind", f.kind == tdg::FieldKind::kMetadata ? "metadata" : "header");
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic pop
+#endif
     o.emplace_back("size_bytes", f.size_bytes);
     return util::Json(std::move(o));
 }
@@ -538,7 +547,15 @@ util::Json deployment_to_json(const Deployment& d) {
         ro.emplace_back("latency_us", path.latency_us);
         routes.push_back(util::Json(std::move(ro)));
     }
+    // Same GCC 12 -Warray-bounds false positive as in field_to_json.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+#endif
     o.emplace_back("routes", std::move(routes));
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic pop
+#endif
     return util::Json(std::move(o));
 }
 

@@ -104,8 +104,7 @@ public:
     [[nodiscard]] std::size_t dim() const noexcept { return m_; }
     [[nodiscard]] bool valid() const noexcept { return valid_; }
     // Update operations currently held: L eliminations plus appended
-    // Forrest-Tomlin row etas. The simplex accumulates the deltas into
-    // LpResult::factor_etas across refactorizations.
+    // Forrest-Tomlin row etas.
     [[nodiscard]] std::int64_t ops() const noexcept {
         return static_cast<std::int64_t>(l_piv_row_.size() + r_target_.size());
     }

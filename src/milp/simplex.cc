@@ -1,14 +1,12 @@
 // The default LP kernel: revised primal simplex over the sparse LU basis
 // factorization in milp/lu.h, with Forrest-Tomlin updates per pivot, Devex
 // candidate-list pricing maintained incrementally from the BTRANed pivot
-// row, and a long-step (bound-flipping) phase-1 ratio test. The warm/cold
-// attempt protocol — crossed-bound rejection, crash gate, pivot budget,
-// confirm-before-declare, constraint re-verification — is shared verbatim
-// with the retained eta kernel (simplex_eta.cc); see simplex.h for the
-// solver-level contract and DESIGN.md 5e for the numbers behind the knobs.
+// row, and a long-step (bound-flipping) phase-1 ratio test. See simplex.h
+// for the solver-level contract (including the warm/cold attempt protocol)
+// and DESIGN.md 5e for the numbers behind the knobs.
 //
 // This file also owns LpContext construction (CSC columns plus the CSR
-// mirror the pricing update scatters through) and the kernel dispatch.
+// mirror the pricing update scatters through).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -95,7 +93,6 @@ public:
     [[nodiscard]] LpResult run() {
         ws_.lu.stats().reset();  // drained per solve, not per factor lifetime
         LpResult result = run_attempts();
-        result.factor_etas = factor_ops_;
         result.factor = ws_.lu.stats();
         result.pricing_hits = pricing_hits_;
         result.pricing_rebuilds = pricing_rebuilds_;
@@ -265,8 +262,6 @@ private:
         }
         if (!ok) ok = ws_.lu.factorize(ctx_, ws_.basic);
         if (!ok) return false;
-        factor_ops_ += ws_.lu.ops();
-        last_ops_ = ws_.lu.ops();
         updates_since_factor_ = 0;
         need_full_price_ = true;
         return true;
@@ -758,7 +753,7 @@ private:
         return best;  // step stays +inf: numerical ray in a bounded objective
     }
 
-    // ---- warm-start yardsticks (shared with the eta kernel) -------------
+    // ---- warm-start yardsticks -----------------------------------------
 
     [[nodiscard]] std::int64_t warm_pivot_budget() const {
         if (options_.warm_pivot_budget > 0) return options_.warm_pivot_budget;
@@ -916,8 +911,6 @@ private:
                 ws_.vstat[enter] = kBasic;
                 ws_.basic[p] = static_cast<std::int32_t>(enter);
                 if (ws_.lu.update(p)) {
-                    factor_ops_ += ws_.lu.ops() - last_ops_;
-                    last_ops_ = ws_.lu.ops();
                     ++updates_since_factor_;
                 } else {
                     // Update numerically unsafe: the factor still holds the
@@ -1039,8 +1032,6 @@ private:
     const std::size_t total_;
     const std::chrono::steady_clock::time_point deadline_;
     std::int64_t updates_since_factor_ = 0;
-    std::int64_t factor_ops_ = 0;  // L+R operations across all factorizations
-    std::int64_t last_ops_ = 0;
     std::int64_t pricing_hits_ = 0;
     std::int64_t pricing_rebuilds_ = 0;
     bool need_full_price_ = true;
@@ -1055,17 +1046,6 @@ private:
 };
 
 }  // namespace
-
-namespace detail {
-
-LpResult solve_lu_kernel(const LpContext& ctx, std::span<const double> lower,
-                         std::span<const double> upper, const LpOptions& options,
-                         LpWorkspace& ws) {
-    LuSimplex simplex(ctx, lower, upper, options, ws);
-    return simplex.run();
-}
-
-}  // namespace detail
 
 const char* to_string(LpStatus s) noexcept {
     switch (s) {
@@ -1138,10 +1118,9 @@ LpContext::LpContext(const Model& model) {
 LpResult LpContext::solve(std::span<const double> lower, std::span<const double> upper,
                           const LpOptions& options, LpWorkspace* workspace) const {
     LpWorkspace local;
-    LpWorkspace& ws = workspace != nullptr ? *workspace : local;
-    return options.use_eta_basis
-               ? detail::solve_eta_kernel(*this, lower, upper, options, ws)
-               : detail::solve_lu_kernel(*this, lower, upper, options, ws);
+    LuSimplex simplex(*this, lower, upper, options,
+                      workspace != nullptr ? *workspace : local);
+    return simplex.run();
 }
 
 LpResult solve_lp(const Model& model, const LpOptions& options) {

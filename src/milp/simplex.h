@@ -30,11 +30,9 @@
 // non-optimal warm outcome except a confirmed infeasibility falls through to
 // the authoritative cold solve.
 //
-// The eta-file (product-form) kernel this replaces is retained verbatim
-// behind LpOptions::use_eta_basis for A/B equivalence, and the seed
-// dense-tableau kernel before it lives in milp/simplex_reference.h
-// (namespace milp::reference); tests/simplex_equivalence_test.cpp and
-// tests/lu_kernel_test.cpp hold the three pairwise equivalent.
+// This is the only kernel the library runs. The seed dense-tableau kernel
+// lives on in milp/simplex_reference.h (namespace milp::reference) as the
+// LP-level oracle tests/simplex_equivalence_test.cpp compares it against.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +65,10 @@ enum class LpStatus : std::uint8_t {
 // pivot_slot/pivot_row (either both size m or both empty) carry the LU
 // kernel's pivot order — the (slot, row) elimination sequence of the last
 // factorization — so a warm reload can replay it instead of re-running
-// Markowitz selection. Eta-kernel and reference-kernel bases leave them
-// empty; a stale or unusable order silently degrades to fresh selection.
+// Markowitz selection. Reference-kernel bases leave them empty; a stale or
+// unusable order silently degrades to fresh selection.
 //
-// (The retained reference kernel exports a basis in its own column space —
+// (The reference kernel exports a basis in its own column space —
 // structurals + slacks + artificials — with at_upper empty; each kernel
 // rejects the other's bases by signature and degrades to a cold solve.)
 struct Basis {
@@ -101,17 +99,10 @@ struct LpResult {
     double objective = 0.0;             // in the model's own sense (min or max)
     std::vector<double> values;         // one per model variable (original space)
     std::int64_t iterations = 0;        // priced simplex pivots + bound flips
-    // Basis-inverse update operations appended outside the pivot loop: etas
-    // from (re)factorizations under the eta kernel, L plus R (Forrest-Tomlin)
-    // operations under the LU kernel. Kept apart from `iterations` because an
-    // update op costs one sparse solve while a pivot pays BTRAN + pricing +
-    // FTRAN + ratio test; folding them together made warm and cold pivot
-    // counts incomparable.
-    std::int64_t factor_etas = 0;
     // LU kernel counters for the lp.factor_* observability surface:
     // refactorizations, FT updates, hypersparse vs dense solves, and factor
     // vs basis nonzeros (their ratio is the fill-in). All zero when the
-    // solve ran on the eta or reference kernel.
+    // solve ran on the reference kernel.
     LuFactor::Stats factor;
     // Candidate-list pricing: prices served from the standing candidate list
     // vs full-scan rebuilds (hit rate = hits / (hits + rebuilds)).
@@ -162,11 +153,6 @@ struct LpOptions : core::CommonOptions {
     // Fill LpResult::duals / reduced_costs on kOptimal (one extra BTRAN plus
     // one pricing-style pass; off by default).
     bool want_dual_values = false;
-    // Run the retained eta-file (product-form) kernel instead of the sparse
-    // LU kernel. Kept for A/B equivalence testing and as a numerical
-    // fallback; the two kernels agree in status and objective on every
-    // instance in the equivalence suites.
-    bool use_eta_basis = false;
 };
 
 // Per-thread scratch reused across solves. Contents are meaningless between
@@ -178,13 +164,7 @@ struct LpWorkspace {
     std::vector<double> lower, upper;
     std::vector<std::int32_t> basic;
     std::vector<std::int8_t> vstat;
-    std::vector<std::int32_t> pos;
-    // Pooled eta file (eta kernel only): eta k spans
-    // [eta_start[k], eta_start[k+1]) of eta_row/eta_val and pivots on
-    // eta_pivot_row[k] with value eta_pivot[k].
-    std::vector<std::int32_t> eta_start, eta_pivot_row, eta_row;
-    std::vector<double> eta_pivot, eta_val;
-    // LU kernel state: the factorization plus sparse solve vectors under the
+    // The LU factorization plus sparse solve vectors under the
     // zero-outside-list contract (xcol/xlist entering column, rho/rholist
     // BTRANed pivot row), the incremental reduced costs d with Devex weights,
     // and the pricing candidate list.
@@ -275,28 +255,10 @@ private:
     std::vector<double> model_lower_, model_upper_;
 };
 
-namespace detail {
-
-// The two kernel entry points behind LpContext::solve. Both run the same
-// warm/cold attempt protocol (crossed-bound rejection, crash gate, pivot
-// budget, confirm-before-declare, constraint re-verification); they differ
-// in basis representation and pricing. simplex.cc implements the LU kernel
-// and the dispatch; simplex_eta.cc implements the retained eta kernel.
-[[nodiscard]] LpResult solve_lu_kernel(const LpContext& ctx,
-                                       std::span<const double> lower,
-                                       std::span<const double> upper,
-                                       const LpOptions& options, LpWorkspace& ws);
-[[nodiscard]] LpResult solve_eta_kernel(const LpContext& ctx,
-                                        std::span<const double> lower,
-                                        std::span<const double> upper,
-                                        const LpOptions& options, LpWorkspace& ws);
-
-}  // namespace detail
-
 // Solves the LP relaxation of `model` (integrality dropped) by building a
 // one-shot LpContext. Throws std::invalid_argument on variables with
 // non-finite lower bounds. All knobs — iteration_limit, time_limit_seconds,
-// deadline, warm_basis, kernel choice — come from LpOptions; the pre-obs
+// deadline, warm_basis — come from LpOptions; the pre-obs
 // (max_iterations, max_seconds, warm_basis) parameter spelling is gone.
 [[nodiscard]] LpResult solve_lp(const Model& model, const LpOptions& options = {});
 

@@ -1,5 +1,5 @@
-// Seed dense-tableau LP kernel, retained verbatim for equivalence testing
-// and dense-vs-revised benchmarking. See simplex_reference.h.
+// Seed dense-tableau LP kernel, retained verbatim for equivalence testing.
+// See simplex_reference.h.
 #include "milp/simplex_reference.h"
 
 #include <algorithm>

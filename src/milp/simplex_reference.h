@@ -3,13 +3,11 @@
 // re-pivoting and repaired by dense dual simplex.
 //
 // This is the seed `solve_lp` kept verbatim (mirroring the core::reference
-// pattern for Algorithm 2). It exists for two reasons:
-//   1. tests/simplex_equivalence_test.cpp asserts the production revised
-//      sparse kernel in milp/simplex.h agrees with it (status and objective
-//      within tolerance) on randomized LPs and seeded P#1 relaxations, and
-//   2. bench/micro_solver uses it as the "dense" side of the dense-vs-revised
-//      BENCH_milp.json trajectory (via MilpOptions::use_reference_lp).
-// It is not called anywhere on the production path.
+// pattern for Algorithm 2). It exists as an LP-level oracle:
+// tests/simplex_equivalence_test.cpp asserts the production revised sparse
+// kernel in milp/simplex.h agrees with it (status and objective within
+// tolerance) on randomized LPs and seeded P#1 relaxations. No option routes
+// production work through it.
 //
 // The exported Basis uses this kernel's own column space (structurals +
 // slacks + artificials, with every finite upper bound materialized as an
@@ -25,9 +23,9 @@
 namespace hermes::milp::reference {
 
 // Solves the LP relaxation of `model` exactly like the seed solver did.
-// Shares LpStatus/LpResult/Basis (and now LpOptions — iteration_limit,
-// time_limit_seconds, warm_basis; the kernel-selection knobs are ignored)
-// with the production kernel; the at_upper field of the exported basis stays
+// Shares LpStatus/LpResult/Basis (and LpOptions — iteration_limit,
+// time_limit_seconds and warm_basis; the rest is ignored) with the
+// production kernel; the at_upper field of the exported basis stays
 // empty (the dense form shifts every variable to its lower bound, so
 // nonbasic-at-upper never occurs).
 [[nodiscard]] LpResult solve_lp(const Model& model, const LpOptions& options = {});

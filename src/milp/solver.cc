@@ -13,7 +13,6 @@
 #include "milp/cuts.h"
 #include "milp/decompose.h"
 #include "milp/presolve.h"
-#include "milp/simplex_reference.h"
 #include "obs/obs.h"
 
 namespace hermes::milp {
@@ -53,32 +52,6 @@ struct NodeOrder {
         if (a.parent_bound != b.parent_bound) return a.parent_bound > b.parent_bound;
         return a.seq > b.seq;
     }
-};
-
-// Applies node bounds (intersected with the current ones) to `work`;
-// restores from `base` afterwards via the destructor.
-class ScopedBounds {
-public:
-    ScopedBounds(Model& work, const Model& base, const std::vector<BoundChange>& changes)
-        : work_(work), base_(base), changes_(changes) {
-        for (const BoundChange& ch : changes_) {
-            work_.set_lower(ch.var, std::max(work_.variable(ch.var).lower, ch.lower));
-            work_.set_upper(ch.var, std::min(work_.variable(ch.var).upper, ch.upper));
-        }
-    }
-    ~ScopedBounds() {
-        for (const BoundChange& ch : changes_) {
-            work_.set_lower(ch.var, base_.variable(ch.var).lower);
-            work_.set_upper(ch.var, base_.variable(ch.var).upper);
-        }
-    }
-    ScopedBounds(const ScopedBounds&) = delete;
-    ScopedBounds& operator=(const ScopedBounds&) = delete;
-
-private:
-    Model& work_;
-    const Model& base_;
-    const std::vector<BoundChange>& changes_;
 };
 
 // Most fractional integer variable, or nullopt when the point is integral.
@@ -275,8 +248,7 @@ private:
             }
         }
         // Registered unconditionally (like the warm_* trio) so exported
-        // metrics JSON always carries the lp.factor_* surface CI asserts on;
-        // they stay zero under the eta or dense reference kernels.
+        // metrics JSON always carries the lp.factor_* surface CI asserts on.
         sink_->counter("lp.factor_refactorizations").add(stats.factor_refactorizations);
         sink_->counter("lp.factor_ft_updates").add(stats.factor_ft_updates);
         sink_->counter("lp.factor_hyper_solves").add(stats.factor_hyper_solves);
@@ -297,8 +269,7 @@ private:
         WorkerStats stats;
         const FlushStatsOnExit flush(*this, stats);
         // Per-worker scratch: bound vectors perturbed per node against the
-        // shared context, the kernel workspace, and (reference path only) a
-        // private Model copy whose bounds mutate per node. `base` mirrors
+        // shared context and the kernel workspace. `base` mirrors
         // the globally tightened bounds (strong-branch fixings, incumbent
         // reduced-cost fixing) and is refreshed under the lock whenever the
         // shared version moves; `lower`/`upper` are `base` plus the node's
@@ -309,8 +280,6 @@ private:
         std::vector<double> upper = base_upper;
         std::uint64_t seen_bounds_version = 0;
         LpWorkspace workspace;
-        Model ref_work;
-        if (options_.use_reference_lp) ref_work = model_;
         while (true) {
             Node node;
             {
@@ -348,7 +317,7 @@ private:
             {
                 obs::Span node_span(sink_, "bb.node");
                 process(std::move(node), base_lower, base_upper, lower, upper,
-                        workspace, ref_work, stats);
+                        workspace, stats);
             }
             {
                 const std::lock_guard lk(mu_);
@@ -361,7 +330,7 @@ private:
 
     void process(Node node, std::vector<double>& base_lower,
                  std::vector<double>& base_upper, std::vector<double>& lower,
-                 std::vector<double>& upper, LpWorkspace& workspace, Model& ref_work,
+                 std::vector<double>& upper, LpWorkspace& workspace,
                  WorkerStats& stats) {
         // Each LP inherits the remaining wall-clock budget so one long
         // solve cannot blow through the MILP time limit; <= 0 means the
@@ -373,39 +342,28 @@ private:
         const Basis* warm =
             options_.warm_lp_basis && !node.basis.empty() ? &node.basis : nullptr;
         const bool is_root = node.changes.empty() && node.branch_var < 0;
-        LpResult lp;
-        if (options_.use_reference_lp) {
-            const ScopedBounds scope(ref_work, model_, node.changes);
-            LpOptions lp_options;
-            lp_options.iteration_limit = options_.lp_iteration_limit;
-            lp_options.time_limit_seconds = remaining;
-            lp_options.warm_basis = warm;
-            lp = reference::solve_lp(ref_work, lp_options);
-        } else {
-            // Apply the node's cumulative bound changes (intersected, so
-            // repeated changes to one variable compose) directly onto the
-            // per-worker vectors — no per-node model rebuild.
-            for (const BoundChange& ch : node.changes) {
-                const auto j = static_cast<std::size_t>(ch.var);
-                lower[j] = std::max(lower[j], ch.lower);
-                upper[j] = std::min(upper[j], ch.upper);
-            }
-            LpOptions lp_options;
-            lp_options.iteration_limit = options_.lp_iteration_limit;
-            lp_options.time_limit_seconds = remaining;
-            lp_options.deadline = options_.deadline;
-            lp_options.warm_basis = warm;
-            lp_options.refactor_interval = options_.lp_refactor_interval;
-            lp_options.warm_pivot_budget = options_.lp_warm_pivot_budget;
-            lp_options.use_eta_basis = options_.lp_use_eta_basis;
-            // Root reduced costs feed incumbent-driven bound tightening.
-            lp_options.want_dual_values = is_root;
-            lp = context_.solve(lower, upper, lp_options, &workspace);
-            for (const BoundChange& ch : node.changes) {
-                const auto j = static_cast<std::size_t>(ch.var);
-                lower[j] = base_lower[j];
-                upper[j] = base_upper[j];
-            }
+        // Apply the node's cumulative bound changes (intersected, so
+        // repeated changes to one variable compose) directly onto the
+        // per-worker vectors — no per-node model rebuild.
+        for (const BoundChange& ch : node.changes) {
+            const auto j = static_cast<std::size_t>(ch.var);
+            lower[j] = std::max(lower[j], ch.lower);
+            upper[j] = std::min(upper[j], ch.upper);
+        }
+        LpOptions lp_options;
+        lp_options.iteration_limit = options_.lp_iteration_limit;
+        lp_options.time_limit_seconds = remaining;
+        lp_options.deadline = options_.deadline;
+        lp_options.warm_basis = warm;
+        lp_options.refactor_interval = options_.lp_refactor_interval;
+        lp_options.warm_pivot_budget = options_.lp_warm_pivot_budget;
+        // Root reduced costs feed incumbent-driven bound tightening.
+        lp_options.want_dual_values = is_root;
+        LpResult lp = context_.solve(lower, upper, lp_options, &workspace);
+        for (const BoundChange& ch : node.changes) {
+            const auto j = static_cast<std::size_t>(ch.var);
+            lower[j] = base_lower[j];
+            upper[j] = base_upper[j];
         }
 
         if (sink_ != nullptr) {
@@ -437,8 +395,7 @@ private:
         }
 
         std::int64_t probe_iterations = 0;
-        if (lp.status == LpStatus::kOptimal && is_root && !options_.use_reference_lp &&
-            options_.pseudocost_branching) {
+        if (lp.status == LpStatus::kOptimal && is_root && options_.pseudocost_branching) {
             probe_iterations = strong_branch_root(lp, base_lower, base_upper, lower,
                                                   upper, workspace);
             if (!lp.reduced_costs.empty()) {
@@ -580,7 +537,6 @@ private:
                 probe.warm_basis = &root.basis;
                 probe.refactor_interval = options_.lp_refactor_interval;
                 probe.warm_pivot_budget = options_.lp_warm_pivot_budget;
-                probe.use_eta_basis = options_.lp_use_eta_basis;
                 const LpResult child = context_.solve(lower, upper, probe, &workspace);
                 lower[j] = saved_lower;
                 upper[j] = saved_upper;

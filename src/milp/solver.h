@@ -7,10 +7,10 @@
 // best-bound-ordered open list (ties broken by a deterministic node sequence
 // number, so a single-threaded run is fully reproducible and any thread
 // count returns the same objective). Each node carries its parent's optimal
-// simplex basis as an eta-file reload: the child solve refactorizes that
-// basis and lets phase 1 repair the handful of rows the branching bound
-// change disturbed, which typically takes a few pivots instead of a cold
-// two-phase solve. Incumbents are published under the open-list lock with a
+// simplex basis, with its LU pivot order, as a warm start: the child solve
+// refactorizes that basis and lets phase 1 repair the handful of rows the
+// branching bound change disturbed, which typically takes a few pivots
+// instead of a cold two-phase solve. Incumbents are published under the open-list lock with a
 // lexicographic tie-break on equal objectives, and every publish prunes the
 // open list in place. Limits stop the search with the best incumbent in
 // hand — node/iteration caps return it as kFeasible, the wall-clock budget
@@ -67,15 +67,6 @@ struct MilpOptions : core::CommonOptions {
     // postsolved back to the original space. The objective is identical
     // either way.
     bool presolve = true;
-    // Solve node LPs with the retained dense tableau kernel
-    // (milp/simplex_reference.h) instead of the revised sparse one. A
-    // benchmarking/debugging aid — results are identical, the dense path is
-    // just slower and rebuilds its standard form on every node.
-    bool use_reference_lp = false;
-    // Solve node LPs with the retained eta-file kernel instead of the sparse
-    // LU one (forwarded to LpOptions::use_eta_basis). An A/B equivalence and
-    // numerical-fallback aid — results are identical.
-    bool lp_use_eta_basis = false;
     // Pivots since the last factorization that force a refactorization in
     // the revised LP kernel (forwarded to LpOptions::refactor_interval).
     int lp_refactor_interval = 64;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/common.h"
+#include "baselines/network_wide.h"
 #include "baselines/single_switch.h"
 #include "core/hermes.h"
 #include "core/objective.h"
@@ -206,6 +207,36 @@ TEST(Baselines, HeuristicModeSkipsIlp) {
     EXPECT_EQ(outcome.status, "heuristic");
 }
 
+TEST(Baselines, NetworkWideHeuristicRespectsEpsilon2) {
+    // In heuristic mode the warm-start chain is a network-wide strategy's
+    // whole deployment, so it must honour the occupancy bound: at most
+    // epsilon2 switches, or a reported failure.
+    const auto programs = workload(6);
+    sim::TestbedConfig config;
+    config.switch_count = 6;
+    const net::Network n = sim::make_testbed(config);
+    const auto occupied = [](const StrategyOutcome& o) {
+        return static_cast<std::int64_t>(o.deployment.occupied_switches().size());
+    };
+    for (const auto& strategy : all_strategies()) {
+        if (dynamic_cast<NetworkWideStrategy*>(strategy.get()) == nullptr) continue;
+        BaselineOptions options = quick_options();
+        options.use_ilp = false;
+        const std::int64_t used = occupied(strategy->deploy(programs, n, options));
+        ASSERT_GT(used, 1) << strategy->name();  // so a bound of used - 1 binds
+        options.epsilon2 = used;
+        EXPECT_LE(occupied(strategy->deploy(programs, n, options)), used)
+            << strategy->name();
+        options.epsilon2 = used - 1;
+        try {
+            EXPECT_LE(occupied(strategy->deploy(programs, n, options)), used - 1)
+                << strategy->name();
+        } catch (const std::runtime_error&) {
+            // Reported failure: no chain fits within epsilon2 switches.
+        }
+    }
+}
+
 TEST(Baselines, AddCrossingRoutesCoversAllPairs) {
     const auto programs = workload(6);
     const net::Network n = pressured_testbed();
@@ -214,7 +245,9 @@ TEST(Baselines, AddCrossingRoutesCoversAllPairs) {
     for (const tdg::Edge& e : outcome.merged.edges()) {
         const net::SwitchId u = outcome.deployment.switch_of(e.from);
         const net::SwitchId v = outcome.deployment.switch_of(e.to);
-        if (u != v) EXPECT_TRUE(outcome.deployment.routes.count({u, v})) << u << "->" << v;
+        if (u != v) {
+            EXPECT_TRUE(outcome.deployment.routes.count({u, v})) << u << "->" << v;
+        }
     }
 }
 

@@ -245,6 +245,46 @@ TEST(Engine, MergeMemoizationCountsHitsAndExtends) {
     EXPECT_GT(sink.counter("engine.merge_hits").value(), 0);
 }
 
+TEST(Engine, ReAddedTenantIsMergedFromItsNewProgram) {
+    // Remove-then-add under one name is how an operator upgrades a tenant.
+    // The merge cache must not answer for the new program with a merge it
+    // built from the removed one.
+    const auto program = [](std::size_t index, const char* name) {
+        prog::Program p = prog::synthetic_program({}, 1, index);
+        p.set_name(name);
+        return p;
+    };
+    Engine engine(zoo_wan());
+    ASSERT_TRUE(engine.add_program(program(0, "x")).ok());
+    ASSERT_TRUE(engine.add_program(program(2, "y")).ok());
+    ASSERT_TRUE(engine.remove_program("x").ok());
+    ASSERT_TRUE(engine.remove_program("y").ok());
+    ASSERT_TRUE(engine.add_program(program(2, "y")).ok());
+    ASSERT_TRUE(engine.add_program(program(1, "x")).ok());
+    ASSERT_TRUE(engine.remove_program("y").ok());
+
+    Engine fresh(zoo_wan());
+    ASSERT_TRUE(fresh.add_program(program(1, "x")).ok());
+    const tdg::Tdg& got = engine.merged();
+    const tdg::Tdg& want = fresh.merged();
+    ASSERT_EQ(got.node_count(), want.node_count());
+    for (std::size_t i = 0; i < want.node_count(); ++i) {
+        const auto id = static_cast<tdg::NodeId>(i);
+        EXPECT_EQ(got.node(id).name(), want.node(id).name()) << "node " << i;
+    }
+    ASSERT_EQ(got.edge_count(), want.edge_count());
+    for (std::size_t i = 0; i < want.edge_count(); ++i) {
+        const tdg::Edge& g = got.edges()[i];
+        const tdg::Edge& w = want.edges()[i];
+        EXPECT_EQ(g.from, w.from) << "edge " << i;
+        EXPECT_EQ(g.to, w.to) << "edge " << i;
+        EXPECT_EQ(g.type, w.type) << "edge " << i;
+        EXPECT_EQ(g.metadata_bytes, w.metadata_bytes) << "edge " << i;
+    }
+    expect_verified(engine);
+    EXPECT_EQ(engine.incumbent().placements.size(), want.node_count());
+}
+
 // ---- 200-event churn: verifier-clean and thread-count deterministic. -----
 
 struct ChurnFingerprint {

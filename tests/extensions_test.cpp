@@ -134,9 +134,13 @@ TEST(Tradeoff, SwitchBudgetSweepMonotoneFeasibility) {
     // Feasibility is monotone in the budget.
     bool seen_feasible = false;
     for (const TradeoffPoint& p : sweep) {
-        if (seen_feasible) EXPECT_TRUE(p.feasible) << p.epsilon2;
+        if (seen_feasible) {
+            EXPECT_TRUE(p.feasible) << p.epsilon2;
+        }
         seen_feasible = seen_feasible || p.feasible;
-        if (p.feasible) EXPECT_LE(p.metrics.occupied_switches, p.epsilon2);
+        if (p.feasible) {
+            EXPECT_LE(p.metrics.occupied_switches, p.epsilon2);
+        }
     }
     EXPECT_TRUE(seen_feasible);
 }

@@ -69,6 +69,22 @@ TEST(Deadline, CancellableCopiesShareTheFlag) {
     EXPECT_DOUBLE_EQ(copy.remaining_seconds(), 0.0);
 }
 
+TEST(Deadline, AfterPollsTripsOnTheNthPollAcrossCopies) {
+    const core::Deadline d = core::Deadline::after_polls(3);
+    const core::Deadline copy = d;
+    EXPECT_TRUE(d.active());
+    EXPECT_FALSE(d.expired());
+    EXPECT_FALSE(copy.expired());
+    EXPECT_TRUE(std::isinf(d.remaining_seconds()));
+    EXPECT_TRUE(d.expired());  // the third poll, made through either copy
+    EXPECT_TRUE(copy.expired());
+    EXPECT_DOUBLE_EQ(copy.remaining_seconds(), 0.0);
+
+    const core::Deadline cancelled = core::Deadline::after_polls(100);
+    cancelled.cancel();
+    EXPECT_TRUE(cancelled.expired());
+}
+
 // ---- Network fault surface ----------------------------------------------
 
 TEST(NetworkFaults, FailLinkDropsItFromLiveAdjacency) {
@@ -480,19 +496,11 @@ TEST(Repair, MilpEscalationImprovesOrMatchesGreedy) {
 }
 
 TEST(Repair, DeadlineTripDegradesToFallbackWithoutThrowing) {
-    // A tight repair budget on an instance whose P#1 formulation builds but
-    // whose exact solve takes ~1 s (~20x the budget): the greedy rung
-    // finishes well inside the budget, the MILP escalation cannot, its
-    // branch-and-bound workers poll the token and stop, and the ladder
-    // returns the greedy incumbent flagged as a deadline fallback — no
-    // exception. The budget is 50 ms on a normal build, scaled up from a
-    // measured unbounded greedy repair under sanitizers (where everything
-    // is ~10x slower, preserving the greedy << deadline << MILP ordering).
-    // The node LPs are pinned to the retained eta kernel: the sparse LU
-    // kernel closes every repair instance the formulation accepts at the
-    // root in a few ms, so no realistic budget would trip mid-search — the
-    // eta kernel keeps this instance in the hopeless-for-MILP regime the
-    // test needs, and the fallback ladder under test is kernel-agnostic.
+    // The token trips on the first poll the MILP escalation makes, after the
+    // greedy rung has finished: the ladder must return the greedy incumbent
+    // flagged as a deadline fallback, with no exception. The trip point is a
+    // poll count, not a wall-clock budget, so it lands in the same place on
+    // any machine and under sanitizers.
     sim::TestbedConfig testbed;
     testbed.switch_count = 6;
     Scenario s{sim::make_testbed(testbed),
@@ -504,24 +512,28 @@ TEST(Repair, DeadlineTripDegradesToFallbackWithoutThrowing) {
     const net::SwitchId victim = s.deployment.occupied_switches().front();
     ASSERT_TRUE(injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0}));
 
-    // Calibration run: greedy rung only, no deadline.
+    // Greedy-only run: at one thread the anchor scan polls once per anchor.
+    obs::Sink calibration_sink;
     core::RepairOptions calibrate;
+    calibrate.sink = &calibration_sink;
     calibrate.oracle = &oracle;
+    calibrate.threads = 1;
     const core::RepairResult baseline = core::repair(s.merged, s.net, s.deployment,
                                                      calibrate);
     ASSERT_TRUE(baseline.ok) << baseline.status;
+    const std::int64_t greedy_polls =
+        calibration_sink.counter("greedy.anchors_tried").value();
+    ASSERT_GT(greedy_polls, 0);
 
     obs::Sink sink;
     core::RepairOptions options;
     options.sink = &sink;
     options.oracle = &oracle;
+    options.threads = 1;
     options.allow_milp = true;
-    options.milp.time_limit_seconds = 60.0;
-    options.milp.lp_use_eta_basis = true;
-    // Plenty for the (now fully warm) greedy rung, hopeless for the MILP
-    // formulation + branch and bound on this instance.
-    options.deadline =
-        core::Deadline::after(std::max(0.05, 10.0 * baseline.repair_seconds));
+    // The anchor scan's polls and the MILP rung's entry check pass; the next
+    // poll, the first inside the MILP rung, trips.
+    options.deadline = core::Deadline::after_polls(greedy_polls + 2);
     core::RepairResult r;
     ASSERT_NO_THROW(r = core::repair(s.merged, s.net, s.deployment, options));
     ASSERT_TRUE(r.ok) << r.status;

@@ -1,11 +1,13 @@
 // Equivalence tests pinning the production revised sparse simplex
 // (milp/simplex.h) to the retained dense reference kernel
 // (milp/simplex_reference.h): statuses and objectives must agree on
-// randomized LPs, seeded P#1 relaxations, and full branch-and-bound runs,
-// and presolve must never change a MILP result.
+// randomized LPs and seeded P#1 relaxations. Full branch-and-bound runs are
+// pinned to exhaustive enumeration of small integer boxes, and presolve
+// must never change a MILP result.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/formulation.h"
 #include "milp/presolve.h"
@@ -98,6 +100,29 @@ Model random_milp(int vars, int rows, std::uint64_t seed) {
     for (const VarId x : xs) obj += LinExpr::term(x, rng.uniform_real(0.5, 3.0));
     m.maximize(std::move(obj));
     return m;
+}
+
+// Best objective over every point of a pure-integer model's bounded box, by
+// odometer enumeration; nullopt when no point is feasible.
+std::optional<double> enumerate_integer_box(const Model& m) {
+    const std::vector<Variable>& vars = m.variables();
+    std::vector<double> point;
+    for (const Variable& v : vars) point.push_back(v.lower);
+    const double sign = m.is_minimization() ? 1.0 : -1.0;
+    std::optional<double> best;
+    while (true) {
+        if (m.is_feasible(point, 1e-9)) {
+            const double value = m.objective_value(point);
+            if (!best || sign * value < sign * *best) best = value;
+        }
+        std::size_t j = 0;
+        while (j < vars.size() && point[j] >= vars[j].upper) {
+            point[j] = vars[j].lower;
+            ++j;
+        }
+        if (j == vars.size()) return best;
+        point[j] += 1.0;
+    }
 }
 
 // Seeded P#1 model on the testbed (same construction as bench/micro_solver's
@@ -237,19 +262,19 @@ TEST(SimplexEquivalence, CrossKernelBasesDegradeToColdSolves) {
     EXPECT_NEAR(dense_from_rev.objective, dense.objective, kTol);
 }
 
-TEST(SimplexEquivalence, MilpAgreesAcrossLpKernels) {
+TEST(SimplexEquivalence, MilpMatchesExhaustiveEnumeration) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         const Model m = random_milp(10, 6, seed);
-        MilpOptions revised;
-        MilpOptions dense = revised;
-        dense.use_reference_lp = true;
-        const MilpResult a = solve_milp(m, revised);
-        const MilpResult b = solve_milp(m, dense);
-        ASSERT_EQ(a.status, b.status) << "seed " << seed;
-        if (!a.has_solution()) continue;
-        EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << seed;
-        EXPECT_TRUE(m.is_feasible(a.values, 1e-5)) << "seed " << seed;
-        EXPECT_TRUE(m.is_feasible(b.values, 1e-5)) << "seed " << seed;
+        double points = 1.0;
+        for (const Variable& v : m.variables()) points *= v.upper - v.lower + 1.0;
+        ASSERT_LE(points, 32.0 * 3125.0) << "seed " << seed;  // 2^5 * 5^5
+        const std::optional<double> best = enumerate_integer_box(m);
+        const MilpResult r = solve_milp(m);
+        ASSERT_EQ(r.status, best ? MilpStatus::kOptimal : MilpStatus::kInfeasible)
+            << "seed " << seed;
+        if (!best) continue;
+        EXPECT_NEAR(r.objective, *best, kTol) << "seed " << seed;
+        EXPECT_TRUE(m.is_feasible(r.values, 1e-5)) << "seed " << seed;
     }
 }
 

@@ -5,8 +5,8 @@
 //   hermes_serve --topology <spec> --emit-churn <n>[:seed]
 //       Print a deterministic churn script (one JSON request per line) and
 //       exit — pipe it back into a serving instance for smoke tests:
-//         hermes_serve --topology table3:1 --emit-churn 100:7 \
-//           | hermes_serve --topology table3:1 --metrics-out metrics.json
+//         hermes_serve --topology table3:1 --emit-churn 100:7 |
+//           hermes_serve --topology table3:1 --metrics-out metrics.json
 //
 // The wire protocol (line-delimited JSON requests/responses) and the epoch
 // batching rules are documented in src/core/serve.h and DESIGN.md §5j.
