@@ -1,6 +1,7 @@
 // Microbenchmarks for the self-healing repair path: damage classification,
-// the reroute-only and re-placement rungs of the repair ladder, and the
-// PathOracle's selective invalidation against a cold rebuild after a fault.
+// the reroute and re-placement rungs of the re-solve ladder
+// (core::redeploy), and the PathOracle's selective invalidation against a
+// cold rebuild after a fault.
 //
 // Standard google-benchmark main; run with --benchmark_filter=... to focus.
 #include <benchmark/benchmark.h>
@@ -39,6 +40,14 @@ Instance wan_instance(int topology, int programs) {
     return inst;
 }
 
+// One climb of the re-solve ladder with every placement carried over.
+util::StatusOr<core::Redeployment> heal(const Instance& inst,
+                                        const core::HermesOptions& options) {
+    return core::redeploy(inst.merged, inst.net, options, /*allow_milp=*/false,
+                          &inst.deployment, inst.deployment.placements,
+                          /*retarget=*/false);
+}
+
 void BM_ClassifyDamage(benchmark::State& state) {
     Instance inst = wan_instance(static_cast<int>(state.range(0)), 8);
     const net::SwitchId victim = inst.deployment.occupied_switches().front();
@@ -52,12 +61,12 @@ void BM_ClassifyDamage(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyDamage)->Arg(3)->Arg(10)->Unit(benchmark::kMicrosecond);
 
-// Reroute-only rung: a link on a recorded route dies, both endpoints
-// survive, and the repair just re-wires the dead pairs.
+// Reroute rung: a link on a recorded route dies, both endpoints survive,
+// and the ladder just re-wires the dead pairs.
 void BM_RepairReroute(benchmark::State& state) {
     Instance inst = wan_instance(static_cast<int>(state.range(0)), 8);
     net::PathOracle oracle(inst.net);
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.oracle = &oracle;
     // Find a failable route edge whose loss keeps the repair reroute-only.
     fault::Injector injector(inst.net, &oracle);
@@ -76,8 +85,7 @@ void BM_RepairReroute(benchmark::State& state) {
         state.PauseTiming();
         injector.apply({0.0, fault::FaultKind::kLinkDown, a, b});
         state.ResumeTiming();
-        const core::RepairResult r =
-            core::repair(inst.merged, inst.net, inst.deployment, options);
+        const auto r = heal(inst, options);
         benchmark::DoNotOptimize(r);
         state.PauseTiming();
         injector.apply({0.0, fault::FaultKind::kLinkUp, a, b});
@@ -92,15 +100,14 @@ void BM_RepairReplace(benchmark::State& state) {
     Instance inst = wan_instance(static_cast<int>(state.range(0)), 8);
     net::PathOracle oracle(inst.net);
     fault::Injector injector(inst.net, &oracle);
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.oracle = &oracle;
     const net::SwitchId victim = inst.deployment.occupied_switches().front();
     for (auto _ : state) {
         state.PauseTiming();
         injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0});
         state.ResumeTiming();
-        const core::RepairResult r =
-            core::repair(inst.merged, inst.net, inst.deployment, options);
+        const auto r = heal(inst, options);
         benchmark::DoNotOptimize(r);
         state.PauseTiming();
         injector.apply({0.0, fault::FaultKind::kSwitchUp, victim, 0});

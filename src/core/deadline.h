@@ -10,9 +10,11 @@
 // false and the poll costs two branches, so passing one through options
 // structs that rarely set it is free.
 //
-// The repair pipeline (core/repair.h) is the main producer: it creates one
-// Deadline per repair attempt and the whole ladder — reroute, re-placement,
-// MILP escalation — degrades gracefully when it trips.
+// The re-solve ladder (core/repair.h) is the main consumer: one token
+// bounds a whole climb — core::Engine arms it per epoch, the CLI's fault
+// replay per event — and a tripped climb serves its truncated greedy
+// result, else the still-verifying previous deployment, instead of
+// failing.
 #pragma once
 
 #include <atomic>

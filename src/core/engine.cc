@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
+#include <limits>
 #include <utility>
 
-#include "core/incremental.h"
-#include "core/repair.h"
 #include "core/verifier.h"
 #include "fault/crash.h"
 #include "fault/injector.h"
@@ -97,18 +95,6 @@ util::StatusOr<Engine::Mutation> mutation_from_json(const util::Json& j) {
         return util::Status::invalid("journal: unknown epoch op '" + op + "'");
     }
     return m;
-}
-
-// Ordered switch pairs that exchange metadata under `placements`.
-std::set<std::pair<net::SwitchId, net::SwitchId>> crossing_pairs(
-    const tdg::Tdg& t, const std::vector<Placement>& placements) {
-    std::set<std::pair<net::SwitchId, net::SwitchId>> pairs;
-    for (const tdg::Edge& e : t.edges()) {
-        const net::SwitchId u = placements[e.from].sw;
-        const net::SwitchId v = placements[e.to].sw;
-        if (u != v) pairs.insert({u, v});
-    }
-    return pairs;
 }
 
 }  // namespace
@@ -226,7 +212,6 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
     std::vector<std::string> working = program_names();
     bool want_retarget = false;
     bool have_fault = false;
-    bool programs_changed = false;
     for (const Mutation& m : batch) {
         switch (m.kind) {
             case Mutation::Kind::kAddProgram: {
@@ -242,7 +227,6 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
                                                  "'");
                 }
                 working.push_back(name);
-                programs_changed = true;
                 break;
             }
             case Mutation::Kind::kRemoveProgram: {
@@ -252,7 +236,6 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
                                                  m.name + "'");
                 }
                 working.erase(it);
-                programs_changed = true;
                 break;
             }
             case Mutation::Kind::kRetarget:
@@ -318,9 +301,7 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
     // surviving program's nodes shift down by the node counts of the removed
     // programs that preceded it; additions have no placements yet.
     std::vector<Placement> preserved;
-    std::size_t preserved_count = 0;
-    bool placements_survive = incumbent_ok_ && !next.empty();
-    if (placements_survive) {
+    if (incumbent_ok_) {
         std::size_t old_offset = 0;
         for (std::size_t i = 0; i < programs_before.size(); ++i) {
             const std::size_t count = programs_before[i].node_count;
@@ -331,7 +312,6 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
             }
             old_offset += count;
         }
-        preserved_count = preserved.size();
     }
 
     programs_ = std::move(next);
@@ -349,10 +329,14 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
         deadline = Deadline::after(options_.epoch_deadline_seconds);
     }
 
-    util::StatusOr<DeltaOutcome> outcome =
-        resolve_epoch(preserved, preserved_count, placements_survive, want_retarget,
-                      programs_changed, deadline);
-    if (!outcome.ok()) {
+    // ---- One climb of the re-solve ladder covers the whole batch. ----
+    const auto start = Clock::now();
+    ++epoch_;
+    merged_ = programs_.empty() ? tdg::Tdg{} : merged_for(programs_);
+    util::StatusOr<Redeployment> resolved =
+        redeploy(merged_, network_, hermes_options(deadline), options_.allow_milp,
+                 incumbent_ok_ ? &incumbent_ : nullptr, preserved, want_retarget);
+    if (!resolved.ok()) {
         // Program changes roll back; faults are physical and stay. The old
         // incumbent survives only if it still verifies on the (possibly
         // mutated) topology against the restored merge.
@@ -366,254 +350,20 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
                 !programs_.empty() && verify(merged_, network_, incumbent_, vo).ok;
         }
         bump("engine.failed_epochs");
+    } else {
+        incumbent_ = std::move(resolved.value().deployment);
+        metrics_ = resolved.value().outcome.metrics;
+        incumbent_ok_ = true;
+        resolved.value().outcome.epoch = epoch_;
+        resolved.value().outcome.solve_seconds = seconds_since(start);
     }
     fault::crash_point("engine.apply.resolved");
     if (journal_.has_value() && !replaying_ && journal_->should_rotate()) {
         const util::Status rotated = journal_->rotate(snapshot_json());
         if (!rotated.ok()) bump("journal.rotate_failures");
     }
-    return outcome;
-}
-
-util::StatusOr<DeltaOutcome> Engine::resolve_epoch(
-    const std::vector<Placement>& preserved, std::size_t preserved_count,
-    bool placements_survive, bool want_retarget, bool programs_changed,
-    const Deadline& deadline) {
-    const auto start = Clock::now();
-    ++epoch_;
-
-    DeltaOutcome outcome;
-    outcome.epoch = epoch_;
-
-    if (programs_.empty()) {
-        merged_ = tdg::Tdg{};
-        incumbent_ = Deployment{};
-        metrics_ = DeploymentMetrics{};
-        incumbent_ok_ = true;
-        outcome.status = "empty";
-        outcome.delta = true;
-        outcome.solve_seconds = seconds_since(start);
-        bump("serve.delta_resolves");
-        return outcome;
-    }
-
-    merged_ = merged_for(programs_);
-
-    VerifyOptions verify_options;
-    static_cast<CommonOptions&>(verify_options) =
-        static_cast<const CommonOptions&>(options_);
-    verify_options.epsilon1 = options_.epsilon1;
-    verify_options.epsilon2 = options_.epsilon2;
-
-    const Deployment previous = incumbent_;
-    const bool previous_ok = incumbent_ok_;
-
-    auto finish = [&](Deployment d, const char* status, bool delta) -> DeltaOutcome& {
-        if (placements_survive) {
-            std::int64_t moved = 0;
-            for (std::size_t i = 0; i < preserved_count && i < d.placements.size(); ++i) {
-                if (d.placements[i].sw != preserved[i].sw) ++moved;
-            }
-            outcome.moved_mats = moved;
-        }
-        incumbent_ = std::move(d);
-        metrics_ = evaluate(merged_, network_, incumbent_);
-        incumbent_ok_ = true;
-        outcome.status = status;
-        outcome.delta = delta;
-        outcome.solve_seconds = seconds_since(start);
-        outcome.metrics = metrics_;
-        bump(delta ? "serve.delta_resolves" : "serve.cold_resolves");
-        return outcome;
-    };
-
-    // ---- Delta rungs: patch the surviving placements in place. ----
-    // Preconditions: an incumbent exists, every preserved placement sits on
-    // a live switch (stranded MATs need the re-place rung), and the merge
-    // did not order a new MAT before an old one.
-    if (placements_survive) {
-        obs::Span dspan(options_.sink, "engine.delta");
-        bool stranded = false;
-        for (std::size_t i = 0; i < preserved_count; ++i) {
-            const net::SwitchId sw = preserved[i].sw;
-            if (sw >= network_.switch_count() || !network_.switch_up(sw)) {
-                stranded = true;
-                break;
-            }
-        }
-        if (!stranded) {
-            Deployment candidate;
-            bool candidate_ok = true;
-            std::int64_t rerouted = 0;
-            const bool additions = preserved_count < merged_.node_count();
-            if (additions) {
-                // Greedy re-place of the affected TDG slice only: the new
-                // nodes pack into residual stage capacity around the fixed
-                // survivors.
-                Deployment existing;
-                existing.placements = preserved;
-                std::optional<IncrementalResult> inc = incremental_deploy(
-                    merged_, preserved_count, existing, network_, &oracle_);
-                if (inc.has_value()) {
-                    candidate = std::move(inc->deployment);
-                } else {
-                    candidate_ok = false;
-                }
-            } else {
-                candidate.placements = preserved;
-            }
-
-            if (candidate_ok) {
-                // Routes: keep live recorded routes (unless retargeting),
-                // re-wire the rest from the shared oracle, and drop stale
-                // pairs that no longer exchange metadata.
-                const auto pairs = crossing_pairs(merged_, candidate.placements);
-                std::map<std::pair<net::SwitchId, net::SwitchId>, net::Path> routes;
-                for (const auto& pair : pairs) {
-                    const auto it = candidate.routes.find(pair);
-                    const auto old_it = previous.routes.find(pair);
-                    const net::Path* keep = nullptr;
-                    if (!want_retarget) {
-                        if (it != candidate.routes.end() && route_alive(network_, it->second)) {
-                            keep = &it->second;
-                        } else if (old_it != previous.routes.end() &&
-                                   route_alive(network_, old_it->second)) {
-                            keep = &old_it->second;
-                        }
-                    }
-                    if (keep != nullptr) {
-                        routes[pair] = *keep;
-                        continue;
-                    }
-                    std::optional<net::Path> path = oracle_.path(pair.first, pair.second);
-                    if (!path.has_value()) {
-                        candidate_ok = false;
-                        break;
-                    }
-                    const bool changed =
-                        old_it == previous.routes.end() ||
-                        old_it->second.switches != path->switches;
-                    if (changed && (want_retarget || old_it != previous.routes.end())) {
-                        ++rerouted;
-                    }
-                    routes[pair] = std::move(*path);
-                }
-                if (candidate_ok) {
-                    candidate.routes = std::move(routes);
-                    if (verify(merged_, network_, candidate, verify_options).ok) {
-                        outcome.rerouted_pairs = rerouted;
-                        const char* status = additions     ? "incremental"
-                                             : want_retarget ? "retarget"
-                                             : rerouted > 0  ? "reroute"
-                                                             : "intact";
-                        return finish(std::move(candidate), status, /*delta=*/true);
-                    }
-                }
-            }
-        }
-        dspan.end();
-    }
-
-    // ---- Cold rungs: full re-solve of the whole merged TDG. ----
-    HermesOptions h = hermes_options(deadline);
-    if (!options_.always_optimal) {
-        obs::Span gspan(options_.sink, "engine.greedy");
-        util::StatusOr<DeployOutcome> greedy = try_deploy_greedy(merged_, network_, h);
-        if (greedy.ok() &&
-            verify(merged_, network_, greedy.value().deployment, verify_options).ok) {
-            const bool replaced = placements_survive;
-            return finish(std::move(greedy).value().deployment,
-                          replaced ? "replace" : "greedy", /*delta=*/false);
-        }
-    }
-
-    if (options_.allow_milp || options_.always_optimal) {
-        obs::Span mspan(options_.sink, "engine.milp");
-        bump("serve.escalations");
-        outcome.escalated = true;
-        util::StatusOr<DeployOutcome> exact = try_deploy_optimal(merged_, network_, h);
-        if (exact.ok() &&
-            verify(merged_, network_, exact.value().deployment, verify_options).ok) {
-            return finish(std::move(exact).value().deployment, "milp", /*delta=*/false);
-        }
-    }
-
-    // ---- Degrade rung: the epoch deadline expired before any rung could
-    // finish. When the program set is unchanged this epoch (so the previous
-    // incumbent lives in the current merge's id space) and that incumbent
-    // still verifies on the (possibly faulted) topology, serving stale-but-
-    // verified placements beats reporting infeasible.
-    if (deadline.active() && deadline.expired() && !programs_changed && previous_ok &&
-        previous.placements.size() == merged_.node_count() &&
-        verify(merged_, network_, previous, verify_options).ok) {
-        bump("serve.deadline_degrades");
-        outcome.degraded = true;
-        Deployment keep = previous;
-        return finish(std::move(keep), "degraded", /*delta=*/true);
-    }
-
-    // No rung produced a verifiable deployment: keep the previous incumbent
-    // visible (apply() decides whether it still verifies) and report why.
-    incumbent_ = previous;
-    incumbent_ok_ = previous_ok;
-    return util::Status::infeasible(
-        "engine: no rung produced a verifiable deployment for this epoch");
-}
-
-util::StatusOr<DeployOutcome> Engine::solve() {
-    obs::Span span(options_.sink, "engine.solve");
-    if (journal_.has_value() && !replaying_) {
-        util::JsonObject record;
-        record.emplace_back("type", "epoch");
-        record.emplace_back("epoch", epoch_ + 1);
-        util::JsonObject op;
-        op.emplace_back("op", "solve");
-        record.emplace_back("ops", util::JsonArray{util::Json(std::move(op))});
-        const util::Status appended = journal_->append(util::Json(std::move(record)));
-        if (!appended.ok()) {
-            bump("journal.append_failures");
-            return appended;
-        }
-        fault::crash_point("engine.apply.journaled");
-    }
-    ++epoch_;
-    if (programs_.empty()) {
-        merged_ = tdg::Tdg{};
-        incumbent_ = Deployment{};
-        metrics_ = DeploymentMetrics{};
-        incumbent_ok_ = true;
-        DeployOutcome outcome;
-        outcome.solver_status = "empty";
-        return outcome;
-    }
-    merged_ = merged_for(programs_);
-
-    Deadline deadline = options_.deadline;
-    if (!deadline.active() && options_.epoch_deadline_seconds > 0.0) {
-        deadline = Deadline::after(options_.epoch_deadline_seconds);
-    }
-    const HermesOptions h = hermes_options(deadline);
-    util::StatusOr<DeployOutcome> outcome =
-        options_.always_optimal ? try_deploy_optimal(merged_, network_, h)
-                                : try_deploy_greedy(merged_, network_, h);
-    if (!outcome.ok()) return outcome;
-
-    VerifyOptions verify_options;
-    verify_options.sink = options_.sink;
-    verify_options.epsilon1 = options_.epsilon1;
-    verify_options.epsilon2 = options_.epsilon2;
-    if (!verify(merged_, network_, outcome.value().deployment, verify_options).ok) {
-        return util::Status::infeasible("engine: solve produced an unverifiable deployment");
-    }
-    incumbent_ = outcome.value().deployment;
-    metrics_ = outcome.value().metrics;
-    incumbent_ok_ = true;
-    bump("serve.cold_resolves");
-    if (journal_.has_value() && !replaying_ && journal_->should_rotate()) {
-        const util::Status rotated = journal_->rotate(snapshot_json());
-        if (!rotated.ok()) bump("journal.rotate_failures");
-    }
-    return outcome;
+    if (!resolved.ok()) return resolved.status();
+    return std::move(resolved.value().outcome);
 }
 
 util::Status Engine::enable_journal(const std::string& path, JournalOptions options) {
@@ -686,26 +436,43 @@ util::Status Engine::restore_snapshot(const util::Json& snapshot) {
         deployment_from_json(snapshot.get("incumbent"));
     if (!incumbent.ok()) return incumbent.status();
 
-    // Reapply the recorded fault deltas through the injector so the path
-    // oracle stays in sync with the network. Links first: a link's own down
-    // flag is independent of its endpoints' state.
-    fault::Injector injector(network_, &oracle_, options_.sink);
+    // Every switch id the snapshot carries must name a switch of this
+    // network, checked before anything mutates: a snapshot journaled on
+    // another topology fails as invalid input instead of throwing halfway
+    // through re-failing its elements. Links come first in `faults`: a
+    // link's own down flag is independent of its endpoints' state.
+    const auto id_of = [](const util::Json& j) {
+        return j.is_int() ? static_cast<net::SwitchId>(j.int_value())
+                          : std::numeric_limits<net::SwitchId>::max();
+    };
+    std::vector<fault::FaultEvent> faults;
     for (const util::Json& lj : snapshot.get("down_links").array()) {
         if (!lj.is_array() || lj.array().size() != 2) {
             return util::Status::invalid("engine: malformed snapshot link");
         }
-        fault::FaultEvent e;
-        e.kind = fault::FaultKind::kLinkDown;
-        e.a = static_cast<net::SwitchId>(lj.array()[0].int_value());
-        e.b = static_cast<net::SwitchId>(lj.array()[1].int_value());
-        (void)injector.apply(e);
+        faults.push_back({0.0, fault::FaultKind::kLinkDown, id_of(lj.array()[0]),
+                          id_of(lj.array()[1])});
     }
     for (const util::Json& sj : snapshot.get("down_switches").array()) {
-        fault::FaultEvent e;
-        e.kind = fault::FaultKind::kSwitchDown;
-        e.a = static_cast<net::SwitchId>(sj.int_value());
-        (void)injector.apply(e);
+        faults.push_back({0.0, fault::FaultKind::kSwitchDown, id_of(sj), 0});
     }
+    std::vector<net::SwitchId> ids;
+    for (const fault::FaultEvent& e : faults) ids.insert(ids.end(), {e.a, e.b});
+    for (const Placement& p : incumbent.value().placements) ids.push_back(p.sw);
+    for (const auto& [pair, path] : incumbent.value().routes) {
+        ids.insert(ids.end(), {pair.first, pair.second});
+        ids.insert(ids.end(), path.switches.begin(), path.switches.end());
+    }
+    const std::size_t switches = network_.switch_count();
+    if (!std::all_of(ids.begin(), ids.end(), [switches](net::SwitchId u) { return u < switches; })) {
+        return util::Status::invalid("engine: snapshot names a switch outside this network (" +
+                                     std::to_string(switches) + " switches)");
+    }
+
+    // Reapply the recorded fault deltas through the injector so the path
+    // oracle stays in sync with the network.
+    fault::Injector injector(network_, &oracle_, options_.sink);
+    for (const fault::FaultEvent& e : faults) (void)injector.apply(e);
 
     programs_ = std::move(next);
     merged_ = programs_.empty() ? tdg::Tdg{} : merged_for(programs_);
@@ -763,19 +530,9 @@ util::StatusOr<Engine::RecoveryReport> Engine::recover(const std::string& path,
         if (record.get("epoch").is_int() && record.get("epoch").int_value() <= epoch_) {
             continue;  // stale duplicate; already covered by the snapshot
         }
-        const util::JsonArray& ops = record.get("ops").array();
-        if (ops.size() == 1 && ops[0].get("op").string_value() == "solve") {
-            const util::StatusOr<DeployOutcome> solved = solve();
-            if (solved.ok()) {
-                ++report.replayed_epochs;
-            } else {
-                ++report.failed_replays;
-            }
-            continue;
-        }
         std::vector<Mutation> batch;
         bool decoded = true;
-        for (const util::Json& oj : ops) {
+        for (const util::Json& oj : record.get("ops").array()) {
             util::StatusOr<Mutation> m = mutation_from_json(oj);
             if (!m.ok()) {
                 decoded = false;

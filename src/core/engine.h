@@ -5,12 +5,11 @@
 // exit. An Engine instead stays alive across thousands of tenant mutations
 // against one live network. It owns the net::Network, the merged TDG of the
 // current program set, a shared net::PathOracle, and the verified incumbent
-// Deployment, and answers every mutation with a *delta* re-solve that climbs
-// the same ladder as the failure-repair path, cheapest rung first:
-//
-//   classify -> keep/reroute surviving placements -> incremental placement
-//   of the affected TDG slice -> full greedy re-solve -> opt-in warm MILP
-//   escalation under a core::Deadline.
+// Deployment, and answers every mutation by climbing the re-solve ladder
+// (core/repair.h) that the CLI's fault replay climbs too, cheapest rung
+// first: keep the surviving placements and patch their routes, placing any
+// added TDG suffix around them -> full greedy re-solve -> opt-in MILP
+// escalation, all bounded by one core::Deadline per epoch.
 //
 // Mutations arrive one at a time (add_program / remove_program /
 // retarget_traffic / apply_fault) or batched: apply() takes a whole epoch of
@@ -47,6 +46,7 @@
 #include "core/journal.h"
 #include "core/objective.h"
 #include "core/options.h"
+#include "core/repair.h"
 #include "fault/fault.h"
 #include "net/network.h"
 #include "net/path_oracle.h"
@@ -56,46 +56,22 @@
 namespace hermes::core {
 
 // Inherits core::CommonOptions: `threads` drives the greedy rungs, `sink`
-// records the engine.* / serve.* metrics, `deadline`/`time_limit_seconds`
-// bound a single epoch's re-solve (re-armed per epoch when
-// epoch_deadline_seconds is set).
+// records the engine.* metrics, and an active `deadline` bounds every
+// epoch's ladder (one shared token; epoch_deadline_seconds arms a fresh
+// one per epoch instead).
 struct EngineOptions : CommonOptions {
     double epsilon1 = std::numeric_limits<double>::infinity();         // t_e2e bound
     std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();  // Q_occ bound
     // Wall-clock budget per epoch (0 = none). Armed as a fresh Deadline for
-    // every apply()/solve() call and threaded through every ladder rung.
+    // every apply() call and threaded through every ladder rung.
     double epoch_deadline_seconds = 0.0;
-    // Climb past the greedy rung into a warm-started exact re-solve when a
-    // delta or greedy attempt fails (or when `always_optimal` full solves
-    // are requested). Counted under engine.escalations.
+    // Climb past the greedy rung into a warm-started exact re-solve when the
+    // greedy rung fails to verify. Counted under engine.escalated.
     bool allow_milp = false;
-    // Full solves (solve(), cold rungs) use the exact path instead of the
-    // greedy heuristic. Off by default: delta serving is latency-bound.
-    bool always_optimal = false;
     // Budget knobs for the exact escalation.
     milp::MilpOptions milp;
     // Memoized merges kept per ordered list of program adds.
     std::size_t merge_cache_limit = 64;
-};
-
-// What one epoch's re-solve did.
-struct DeltaOutcome {
-    // "intact" | "incremental" | "reroute" | "retarget" | "replace" |
-    // "greedy" | "milp" | "empty" — the rung that produced the incumbent.
-    std::string status;
-    // True when the incumbent was patched in place (placements preserved);
-    // false when a full re-solve produced a fresh deployment.
-    bool delta = false;
-    bool escalated = false;          // the MILP rung ran
-    // The epoch deadline expired before any rung finished, and the engine
-    // fell back to the still-verifying previous incumbent instead of
-    // reporting infeasible (status "degraded"; serve.deadline_degrades).
-    bool degraded = false;
-    std::int64_t epoch = 0;          // engine epoch that produced this
-    std::int64_t moved_mats = 0;     // placements whose switch changed
-    std::int64_t rerouted_pairs = 0; // routes re-wired in place
-    double solve_seconds = 0.0;
-    DeploymentMetrics metrics;       // of the (verified) incumbent
 };
 
 class Engine {
@@ -136,10 +112,6 @@ public:
     [[nodiscard]] util::StatusOr<DeltaOutcome> retarget_traffic();
     [[nodiscard]] util::StatusOr<DeltaOutcome> apply_fault(const fault::FaultEvent& e);
 
-    // Full (non-delta) re-solve of the current program set: greedy, or exact
-    // when options().always_optimal. Replaces the incumbent on success.
-    [[nodiscard]] util::StatusOr<DeployOutcome> solve();
-
     // ---- durability (DESIGN.md §5k) --------------------------------------
 
     // Opens (creating if needed) the write-ahead journal at `path` and
@@ -168,7 +140,8 @@ public:
     // a successful empty recovery that starts journaling a new log. The
     // caller must construct the engine with the same base topology the
     // journaled run used — the journal records fault deltas, not the
-    // network itself.
+    // network itself; a snapshot that names a switch this topology lacks is
+    // kInvalidInput, with nothing restored.
     [[nodiscard]] util::StatusOr<RecoveryReport> recover(const std::string& path,
                                                          JournalOptions options = {});
 
@@ -209,17 +182,13 @@ private:
     [[nodiscard]] HermesOptions hermes_options(const Deadline& deadline);
     // Union-merge of `programs` (memoized). Never empty input.
     [[nodiscard]] const tdg::Tdg& merged_for(const std::vector<ProgramEntry>& programs);
-    // The delta ladder for one epoch; updates incumbent_/metrics_ on
-    // success.
-    [[nodiscard]] util::StatusOr<DeltaOutcome> resolve_epoch(
-        const std::vector<Placement>& preserved, std::size_t preserved_count,
-        bool placements_survive, bool want_retarget, bool programs_changed,
-        const Deadline& deadline);
     void bump(const char* counter, std::int64_t delta = 1) const;
 
     // Full-state snapshot record ({"type":"snapshot", ...}).
     [[nodiscard]] util::Json snapshot_json() const;
-    // Inverse of snapshot_json on a fresh engine (kInvalidInput otherwise).
+    // Inverse of snapshot_json on a fresh engine. kInvalidInput, before
+    // anything is restored, on a non-fresh engine or a malformed snapshot —
+    // including any switch id outside this network.
     [[nodiscard]] util::Status restore_snapshot(const util::Json& snapshot);
 
     net::Network network_;

@@ -90,6 +90,10 @@ util::StatusOr<DeployOutcome> try_deploy_optimal(const tdg::Tdg& t,
     const auto start = Clock::now();
     obs::Span span(options.sink, "deploy_optimal");
     OracleStatsScope oracle_stats(options.sink, options.oracle);
+    if (net.programmable_switches().empty()) {
+        // P1 has no candidate switch to place on (every one failed, say).
+        return util::Status::infeasible("deploy_optimal: no live programmable switch");
+    }
     FormulationOptions fopts;
     static_cast<CommonOptions&>(fopts) = static_cast<const CommonOptions&>(options);
     fopts.epsilon1 = options.epsilon1;

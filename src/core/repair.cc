@@ -1,13 +1,15 @@
 #include "core/repair.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
-#include <stdexcept>
+#include <map>
+#include <optional>
+#include <set>
 
-#include "core/greedy.h"
-#include "core/hermes.h"
-#include "core/objective.h"
+#include "core/incremental.h"
 #include "core/verifier.h"
-#include "net/paths.h"
+#include "net/path_oracle.h"
 #include "obs/obs.h"
 
 namespace hermes::core {
@@ -16,13 +18,70 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::int64_t count_moved_mats(const Deployment& before, const Deployment& after) {
-    std::int64_t moved = 0;
-    for (std::size_t i = 0; i < before.placements.size() && i < after.placements.size();
-         ++i) {
-        if (before.placements[i].sw != after.placements[i].sw) ++moved;
+constexpr std::array<const char*, 9> kRungCounters = {
+    "engine.rung.empty",   "engine.rung.intact",  "engine.rung.incremental",
+    "engine.rung.retarget", "engine.rung.reroute", "engine.rung.replace",
+    "engine.rung.greedy",  "engine.rung.milp",    "engine.rung.degraded"};
+
+// Ordered switch pairs that exchange metadata under `placements`.
+std::set<std::pair<net::SwitchId, net::SwitchId>> crossing_pairs(
+    const tdg::Tdg& t, const std::vector<Placement>& placements) {
+    std::set<std::pair<net::SwitchId, net::SwitchId>> pairs;
+    for (const tdg::Edge& e : t.edges()) {
+        const net::SwitchId u = placements[e.from].sw;
+        const net::SwitchId v = placements[e.to].sw;
+        if (u != v) pairs.insert({u, v});
     }
-    return moved;
+    return pairs;
+}
+
+// The delta rung's candidate: the surviving placements, the new suffix of
+// `t` placed around them, and one route per pair that exchanges metadata.
+// Counts into `rerouted` every recorded route (every route, when
+// retargeting) that ends up on another path. nullopt when the suffix does
+// not fit or some pair has no live path.
+std::optional<Deployment> patch_in_place(const tdg::Tdg& t, const net::Network& net,
+                                         net::PathOracle& oracle,
+                                         const Deployment& previous,
+                                         const std::vector<Placement>& surviving,
+                                         bool retarget, std::int64_t& rerouted) {
+    Deployment candidate;
+    if (surviving.size() < t.node_count()) {
+        Deployment existing;
+        existing.placements = surviving;
+        std::optional<IncrementalResult> inc =
+            incremental_deploy(t, surviving.size(), existing, net, &oracle);
+        if (!inc.has_value()) return std::nullopt;
+        candidate = std::move(inc->deployment);
+    } else {
+        candidate.placements = surviving;
+    }
+
+    std::map<std::pair<net::SwitchId, net::SwitchId>, net::Path> routes;
+    for (const auto& pair : crossing_pairs(t, candidate.placements)) {
+        const auto it = candidate.routes.find(pair);
+        const auto old_it = previous.routes.find(pair);
+        const net::Path* keep = nullptr;
+        if (!retarget) {
+            if (it != candidate.routes.end() && route_alive(net, it->second)) {
+                keep = &it->second;
+            } else if (old_it != previous.routes.end() && route_alive(net, old_it->second)) {
+                keep = &old_it->second;
+            }
+        }
+        if (keep != nullptr) {
+            routes[pair] = *keep;
+            continue;
+        }
+        std::optional<net::Path> path = oracle.path(pair.first, pair.second);
+        if (!path.has_value()) return std::nullopt;
+        const bool recorded = old_it != previous.routes.end();
+        const bool changed = !recorded || old_it->second.switches != path->switches;
+        if (changed && (retarget || recorded)) ++rerouted;
+        routes[pair] = std::move(*path);
+    }
+    candidate.routes = std::move(routes);
+    return candidate;
 }
 
 }  // namespace
@@ -53,150 +112,110 @@ DamageReport classify_damage(const tdg::Tdg& t, const net::Network& net,
     return report;
 }
 
-RepairResult repair(const tdg::Tdg& t, const net::Network& net, const Deployment& broken,
-                    const RepairOptions& options) {
-    obs::Span span(options.sink, "repair");
+util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net,
+                                      const HermesOptions& options, bool allow_milp,
+                                      const Deployment* previous,
+                                      const std::vector<Placement>& surviving,
+                                      bool retarget) {
     const auto start = Clock::now();
     obs::Sink* const sink = options.sink;
-    if (sink != nullptr) {
-        // Register every repair.* counter up front so exported metrics carry
-        // them at 0 even on repairs that never reach the later rungs.
-        sink->counter("repair.events").add(1);
-        sink->counter("repair.reroute_only").add(0);
-        sink->counter("repair.replaced_mats").add(0);
-        sink->counter("repair.deadline_aborts").add(0);
-    }
+    auto bump = [sink](const char* counter, std::int64_t delta) {
+        if (sink != nullptr) sink->counter(counter).add(delta);
+    };
+    for (const char* counter : kRungCounters) bump(counter, 0);
+    bump("engine.moved_mats", 0);
+    bump("engine.rerouted_pairs", 0);
+    bump("engine.escalated", 0);
+    bump("engine.degraded", 0);
 
-    RepairResult result;
-    result.deployment = broken;
-    auto finish = [&](const char* status, bool ok) -> RepairResult& {
-        result.status = status;
-        result.ok = ok;
-        result.repair_seconds =
+    Redeployment result;
+    DeltaOutcome& outcome = result.outcome;
+    auto finish = [&](Deployment d, const char* status, bool delta) {
+        if (previous != nullptr) {
+            for (std::size_t i = 0; i < surviving.size() && i < d.placements.size(); ++i) {
+                if (d.placements[i].sw != surviving[i].sw) ++outcome.moved_mats;
+            }
+        }
+        outcome.status = status;
+        outcome.delta = delta;
+        outcome.metrics = evaluate(t, net, d);
+        outcome.solve_seconds =
             std::chrono::duration<double>(Clock::now() - start).count();
-        return result;
+        result.deployment = std::move(d);
+        bump((std::string("engine.rung.") + status).c_str(), 1);
+        bump("engine.moved_mats", outcome.moved_mats);
+        bump("engine.rerouted_pairs", outcome.rerouted_pairs);
+        return util::StatusOr<Redeployment>(std::move(result));
     };
 
-    {
-        obs::Span cspan(sink, "repair.classify");
-        result.damage = classify_damage(t, net, broken);
-    }
-    if (result.damage.intact()) return finish("intact", true);
-
-    // One token bounds the whole ladder; a plain wall-clock budget is
-    // converted so every rung polls the same thing.
-    Deadline deadline = options.deadline;
-    if (!deadline.active() && options.time_limit_seconds > 0.0 &&
-        options.time_limit_seconds < 1e17) {
-        deadline = Deadline::after(options.time_limit_seconds);
-    }
+    if (t.node_count() == 0) return finish(Deployment{}, "empty", /*delta=*/true);
 
     VerifyOptions verify_options;
-    static_cast<CommonOptions&>(verify_options) =
-        static_cast<const CommonOptions&>(options);
+    static_cast<CommonOptions&>(verify_options) = static_cast<const CommonOptions&>(options);
     verify_options.epsilon1 = options.epsilon1;
     verify_options.epsilon2 = options.epsilon2;
 
-    // Rung 1: reroute-only — every placement survives, only paths died.
-    if (result.damage.stranded_mats.empty()) {
-        obs::Span rspan(sink, "repair.reroute");
-        Deployment candidate = broken;
-        bool rewired = true;
-        std::int64_t pairs = 0;
-        for (const auto& pair : result.damage.dead_routes) {
-            auto path = options.oracle != nullptr
-                            ? options.oracle->path(pair.first, pair.second)
-                            : net::shortest_path(net, pair.first, pair.second);
-            if (!path) {
-                rewired = false;
-                break;
+    // ---- Rung 1: patch the surviving placements in place. ----
+    // A MAT stranded on a dead switch has to move: only the re-solve rungs
+    // can do that.
+    const auto stranded = [&net](const Placement& p) {
+        return p.sw >= net.switch_count() || !net.switch_up(p.sw);
+    };
+    if (previous != nullptr) {
+        obs::Span span(sink, "engine.delta");
+        if (std::none_of(surviving.begin(), surviving.end(), stranded)) {
+            std::optional<net::PathOracle> own_oracle;
+            net::PathOracle& oracle =
+                options.oracle != nullptr ? *options.oracle : own_oracle.emplace(net);
+            std::int64_t rerouted = 0;
+            std::optional<Deployment> candidate =
+                patch_in_place(t, net, oracle, *previous, surviving, retarget, rerouted);
+            if (candidate.has_value() && verify(t, net, *candidate, verify_options).ok) {
+                outcome.rerouted_pairs = rerouted;
+                const char* status = surviving.size() < t.node_count() ? "incremental"
+                                     : retarget                         ? "retarget"
+                                     : rerouted > 0                     ? "reroute"
+                                                                        : "intact";
+                return finish(std::move(*candidate), status, /*delta=*/true);
             }
-            candidate.routes[pair] = std::move(*path);
-            ++pairs;
-        }
-        if (rewired && verify(t, net, candidate, verify_options).ok) {
-            result.deployment = std::move(candidate);
-            result.rerouted_pairs = pairs;
-            if (sink != nullptr) sink->counter("repair.reroute_only").add(1);
-            return finish("reroute", true);
         }
     }
 
-    // Rung 2: greedy re-placement on the surviving topology (the live
-    // adjacency and programmable_switches() already exclude failed elements).
-    Deployment incumbent;
-    bool have_incumbent = false;
+    // ---- Rungs 2 and 3: re-solve the whole TDG. ----
+    std::optional<Deployment> solved;
+    const char* status = previous != nullptr ? "replace" : "greedy";
     {
-        obs::Span gspan(sink, "repair.replace");
-        GreedyOptions greedy_options;
-        static_cast<CommonOptions&>(greedy_options) =
-            static_cast<const CommonOptions&>(options);
-        greedy_options.deadline = deadline;
-        greedy_options.epsilon1 = options.epsilon1;
-        greedy_options.epsilon2 = options.epsilon2;
-        try {
-            GreedyResult g = greedy_deploy(t, net, greedy_options, options.oracle);
-            if (verify(t, net, g.deployment, verify_options).ok) {
-                incumbent = std::move(g.deployment);
-                have_incumbent = true;
-            }
-        } catch (const std::runtime_error&) {
-            // Surviving capacity may genuinely be short; MILP (or infeasible)
-            // decides below.
+        obs::Span span(sink, "engine.greedy");
+        util::StatusOr<DeployOutcome> greedy = try_deploy_greedy(t, net, options);
+        if (greedy.ok() && verify(t, net, greedy.value().deployment, verify_options).ok) {
+            solved = std::move(greedy).value().deployment;
+        }
+    }
+    if (!solved.has_value() && allow_milp) {
+        obs::Span span(sink, "engine.milp");
+        outcome.escalated = true;
+        bump("engine.escalated", 1);
+        util::StatusOr<DeployOutcome> exact = try_deploy_optimal(t, net, options);
+        if (exact.ok() && verify(t, net, exact.value().deployment, verify_options).ok) {
+            solved = std::move(exact).value().deployment;
+            status = "milp";
         }
     }
 
-    // Rung 3: opt-in exact re-solve, warm started from the incumbent.
-    bool milp_completed = false;
-    if (options.allow_milp && !deadline.expired()) {
-        obs::Span mspan(sink, "repair.milp");
-        HermesOptions hermes_options;
-        static_cast<CommonOptions&>(hermes_options) =
-            static_cast<const CommonOptions&>(options);
-        hermes_options.deadline = deadline;
-        hermes_options.epsilon1 = options.epsilon1;
-        hermes_options.epsilon2 = options.epsilon2;
-        hermes_options.oracle = options.oracle;
-        hermes_options.milp = options.milp;
-        hermes_options.milp.deadline = deadline;
-        util::StatusOr<DeployOutcome> exact_result =
-            try_deploy_optimal(t, net, hermes_options);
-        // A non-ok status means no MILP incumbent within the budget; the
-        // greedy one stands.
-        if (exact_result.ok()) {
-            DeployOutcome outcome = std::move(exact_result).value();
-            const bool exact = outcome.solver_status == "optimal" ||
-                               outcome.solver_status == "feasible";
-            if (verify(t, net, outcome.deployment, verify_options).ok &&
-                (!have_incumbent ||
-                 max_pair_metadata(t, outcome.deployment) <=
-                     max_pair_metadata(t, incumbent))) {
-                incumbent = std::move(outcome.deployment);
-                have_incumbent = true;
-                milp_completed = exact;
-            }
-        }
+    // ---- Deadline fallback: a cut-short ladder serves the truncated rung's
+    // result, else the previous deployment if it still verifies on the same
+    // TDG (no node added or removed). remaining_seconds() reads the token
+    // without spending a poll of an after_polls() budget.
+    outcome.degraded = options.deadline.remaining_seconds() <= 0.0;
+    if (outcome.degraded) bump("engine.degraded", 1);
+    if (solved.has_value()) return finish(std::move(*solved), status, /*delta=*/false);
+    if (outcome.degraded && previous != nullptr && surviving.size() == t.node_count() &&
+        previous->placements.size() == t.node_count() &&
+        verify(t, net, *previous, verify_options).ok) {
+        return finish(*previous, "degraded", /*delta=*/true);
     }
-
-    const bool deadline_tripped = deadline.active() && deadline.expired();
-    if (have_incumbent) {
-        result.replaced_mats = count_moved_mats(broken, incumbent);
-        result.deployment = std::move(incumbent);
-        if (sink != nullptr) {
-            sink->counter("repair.replaced_mats").add(result.replaced_mats);
-        }
-        if (milp_completed) return finish("milp", true);
-        if (deadline_tripped) {
-            if (sink != nullptr) sink->counter("repair.deadline_aborts").add(1);
-            return finish("fallback(deadline)", true);
-        }
-        return finish("replace", true);
-    }
-    if (deadline_tripped && sink != nullptr) {
-        sink->counter("repair.deadline_aborts").add(1);
-    }
-    result.deployment = broken;  // untouched original, explicitly
-    return finish("infeasible", false);
+    return util::Status::infeasible(
+        "engine: no rung produced a verifiable deployment for this epoch");
 }
 
 }  // namespace hermes::core

@@ -1,63 +1,84 @@
-// Self-healing redeployment after switch/link failures (DESIGN.md §5g).
+// The re-solve ladder (DESIGN.md §5g, §5j): the one rung list every caller
+// climbs after a change. core::Engine runs it once per epoch on its union
+// merge; `hermes_cli solve|replay --fault-script` runs it once per injected
+// fault on the TDG it deployed.
 //
-// Given a deployment that failures may have broken, repair() classifies the
-// damage and climbs an escalation ladder, cheapest rung first:
+// redeploy() starts at the cheapest rung and returns the first deployment
+// that passes the verifier (constraints (6)-(9) and the epsilon bounds):
 //
-//   1. reroute — no MAT sits on a failed switch, only inter-switch routes
-//      died: re-wire each dead (u,v) pair with a live shortest path and keep
-//      every placement. The cheapest repair and the common case for single
-//      link failures.
-//   2. replace — stranded MATs (or reroute infeasible): rerun Algorithm 2 on
-//      the surviving topology. Network::programmable_switches() and the live
-//      adjacency already exclude failed elements, so the greedy search
-//      naturally places onto survivors only.
-//   3. milp — opt-in (RepairOptions::allow_milp): exact re-solve warm-started
-//      from the greedy incumbent, under whatever budget remains.
+//   1. delta — when a previous deployment exists and every surviving
+//      placement sits on a live switch: keep those placements, place any
+//      added TDG suffix around them (incremental_deploy), keep each live
+//      recorded route of a pair that still exchanges metadata, wire the
+//      remaining pairs from the path oracle, and drop pairs that no longer
+//      exchange metadata. Status incremental | retarget | reroute | intact.
+//   2. greedy — Algorithm 2 over the whole TDG on the live topology (failed
+//      elements are hidden by the network's live views). Status replace
+//      when a previous deployment existed, greedy otherwise.
+//   3. milp — only when the greedy rung failed to verify and escalation is
+//      allowed: the exact re-solve, warm started from greedy. Status milp.
 //
-// Deadline semantics: an active RepairOptions::deadline (or a positive
-// time_limit_seconds, converted to one) is threaded into every rung. When it
-// trips, the ladder stops where it is and returns the best verified
-// incumbent found so far with status "fallback(deadline)" — cooperative
-// degradation, never an exception. With no incumbent at all the result is
-// ok=false / "infeasible" and the original deployment is returned untouched.
+// Deadline: options.deadline bounds the whole ladder (the greedy anchor
+// scan and the MILP poll it). If it has expired when the cold rungs return,
+// the result is, in order: the truncated rung's verified deployment; else
+// the previous deployment, if it covers the same TDG and still verifies
+// (status degraded); else kInfeasible. DeltaOutcome::degraded marks both
+// fallbacks. No rung throws.
 //
-// Observability (RepairOptions::sink): repair.events, repair.reroute_only,
-// repair.replaced_mats, repair.deadline_aborts counters plus a span per rung
-// (repair.classify / repair.reroute / repair.replace / repair.milp) under an
-// enclosing "repair" span. All four counters are registered on every call so
-// exported metrics JSON always carries them (CI asserts on their values).
+// Observability (options.sink): one span per rung (engine.delta,
+// engine.greedy, engine.milp) and the counters engine.rung.<status>,
+// engine.moved_mats, engine.rerouted_pairs, engine.escalated and
+// engine.degraded, all registered at 0 on every call so exported metrics
+// carry them whichever rungs ran.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/deployment.h"
-#include "core/options.h"
-#include "milp/solver.h"
-#include "net/path_oracle.h"
+#include "core/hermes.h"
+#include "core/objective.h"
+#include "util/status.h"
 
 namespace hermes::core {
 
-// Inherits core::CommonOptions: `deadline` (or time_limit_seconds) bounds
-// the whole repair, `threads` drives the greedy anchor search, `sink`
-// records the repair.* metrics.
-struct RepairOptions : CommonOptions {
-    double epsilon1 = std::numeric_limits<double>::infinity();         // t_e2e bound
-    std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();  // Q_occ bound
-    // Escalate to the exact MILP re-solve when the greedy incumbent exists
-    // (or failed). Off by default: the exact solve can dwarf the repair
-    // budget on anything but small instances.
-    bool allow_milp = false;
-    // Budget knobs for the opt-in escalation (its deadline is overridden by
-    // the repair deadline).
-    milp::MilpOptions milp;
-    // Shared per-Network path cache, kept in sync by fault::Injector. Null =
-    // private caches per rung.
-    net::PathOracle* oracle = nullptr;
+// What one climb of the ladder did.
+struct DeltaOutcome {
+    // "empty" | "intact" | "incremental" | "retarget" | "reroute" |
+    // "replace" | "greedy" | "milp" | "degraded" — the rung that produced
+    // the deployment.
+    std::string status;
+    // True when the surviving placements were kept in place; false when a
+    // full re-solve produced a fresh deployment.
+    bool delta = false;
+    bool escalated = false;          // the MILP rung ran
+    // The deadline cut the ladder short: the deployment is a truncated
+    // rung's result, or the previous deployment (status "degraded").
+    bool degraded = false;
+    std::int64_t epoch = 0;          // engine epoch that produced this
+    std::int64_t moved_mats = 0;     // surviving placements whose switch changed
+    std::int64_t rerouted_pairs = 0; // recorded routes replaced by another path
+    double solve_seconds = 0.0;
+    DeploymentMetrics metrics;       // of the (verified) deployment
 };
+
+struct Redeployment {
+    Deployment deployment;
+    DeltaOutcome outcome;
+};
+
+// Climbs the ladder above for TDG `t` on the network's current up/down
+// state. `previous` is the last verified deployment (null when there is
+// none); `surviving` holds the placements that carry over, indexed by `t`'s
+// node ids [0, surviving.size()) — the rest of `t` is new. `retarget`
+// re-picks every route instead of keeping live ones. kInfeasible when no
+// rung produced a verifiable deployment.
+[[nodiscard]] util::StatusOr<Redeployment> redeploy(
+    const tdg::Tdg& t, const net::Network& net, const HermesOptions& options,
+    bool allow_milp, const Deployment* previous,
+    const std::vector<Placement>& surviving, bool retarget);
 
 // What the failures broke in a deployment.
 struct DamageReport {
@@ -72,31 +93,12 @@ struct DamageReport {
 };
 
 // True when the recorded path is fully live: every switch up, every hop a
-// live link. Shared by the repair ladder and the Engine's delta re-solve.
+// live link.
 [[nodiscard]] bool route_alive(const net::Network& net, const net::Path& path);
 
 // Classifies `d` against the network's current up/down state. Pure
 // inspection: touches no caches, never throws on damage.
 [[nodiscard]] DamageReport classify_damage(const tdg::Tdg& t, const net::Network& net,
                                            const Deployment& d);
-
-struct RepairResult {
-    // True when `deployment` verifies on the surviving topology. False only
-    // for "infeasible" (deployment is then the unrepaired original).
-    bool ok = false;
-    Deployment deployment;
-    DamageReport damage;
-    // "intact" | "reroute" | "replace" | "milp" | "fallback(deadline)" |
-    // "infeasible" — the rung that produced `deployment`.
-    std::string status;
-    std::int64_t replaced_mats = 0;   // MATs whose switch changed
-    std::int64_t rerouted_pairs = 0;  // dead pairs re-wired in place
-    double repair_seconds = 0.0;
-};
-
-// Repairs `broken` against the network's current state via the ladder above.
-[[nodiscard]] RepairResult repair(const tdg::Tdg& t, const net::Network& net,
-                                  const Deployment& broken,
-                                  const RepairOptions& options = {});
 
 }  // namespace hermes::core

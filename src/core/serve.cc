@@ -210,12 +210,9 @@ ServeSession::ServeSession(Engine& engine, ServeOptions options)
         options_.sink->counter("serve.requests").add(0);
         options_.sink->counter("serve.malformed").add(0);
         options_.sink->counter("serve.batches").add(0);
-        options_.sink->counter("serve.delta_resolves").add(0);
-        options_.sink->counter("serve.escalations").add(0);
         options_.sink->counter("serve.oversized").add(0);
         options_.sink->counter("serve.shed").add(0);
         options_.sink->counter("serve.recoveries").add(0);
-        options_.sink->counter("serve.deadline_degrades").add(0);
         options_.sink->counter("verify.violations").add(0);
     }
 }

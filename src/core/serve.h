@@ -41,10 +41,12 @@
 // serve.shed.
 //
 // Metrics (ServeOptions::sink / EngineOptions::sink): serve.requests,
-// serve.malformed, serve.batches, serve.delta_resolves, serve.escalations,
-// serve.oversized, serve.shed, serve.recoveries, serve.deadline_degrades,
-// verify.violations counters and the serve.request_us latency histogram
-// (p50/p99 via obs::Histogram::quantile).
+// serve.malformed, serve.batches, serve.oversized, serve.shed,
+// serve.recoveries and verify.violations counters, the serve.request_us
+// latency histogram (p50/p99 via obs::Histogram::quantile), and the
+// re-solve ladder's engine.rung.<status>, engine.moved_mats,
+// engine.rerouted_pairs, engine.escalated and engine.degraded counters
+// (core/repair.h).
 #pragma once
 
 #include <functional>

@@ -1,7 +1,8 @@
 // core::Engine session tests: delta re-solves matching cold deployments on
 // the testbed and a zoo WAN, batch/epoch semantics, rollback on infeasible
-// or invalid batches, merge memoization, and a 200-event churn that stays
-// verifier-clean and thread-count deterministic.
+// or invalid batches, merge memoization, the ladder's MILP and deadline
+// rungs, and a 200-event churn that stays verifier-clean and thread-count
+// deterministic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -226,9 +227,11 @@ TEST(Engine, FaultAndRecoverKeepIncumbentVerified) {
         break;
     }
     EXPECT_TRUE(repaired);
-    EXPECT_GT(sink.counter("serve.delta_resolves").value() +
-                  sink.counter("serve.cold_resolves").value(),
-              0);
+    std::int64_t climbs = 0;
+    for (const auto& c : sink.counters()) {
+        if (c.name.rfind("engine.rung.", 0) == 0) climbs += c.value;
+    }
+    EXPECT_GT(climbs, 0);
 }
 
 TEST(Engine, MergeMemoizationCountsHitsAndExtends) {
@@ -283,6 +286,91 @@ TEST(Engine, ReAddedTenantIsMergedFromItsNewProgram) {
     }
     expect_verified(engine);
     EXPECT_EQ(engine.incumbent().placements.size(), want.node_count());
+}
+
+// ---- The ladder's last rungs: MILP escalation and the deadline. ----------
+
+TEST(Engine, MilpRungRunsOnceWhenEverySwitchFails) {
+    obs::Sink sink;
+    EngineOptions options;
+    options.sink = &sink;
+    options.allow_milp = true;
+    options.milp.time_limit_seconds = 30.0;
+    Engine engine(testbed(), options);
+    ASSERT_TRUE(engine.add_program(tenant(81, 0)).ok());
+    ASSERT_EQ(sink.counter("engine.escalated").value(), 0);
+
+    // One epoch adds a tenant and fails every switch: every MAT is
+    // stranded, the greedy rung has nowhere to place, and the MILP rung
+    // runs once before the epoch fails.
+    std::vector<Engine::Mutation> batch(1);
+    batch[0].kind = Engine::Mutation::Kind::kAddProgram;
+    batch[0].program = tenant(81, 1);
+    for (net::SwitchId u = 0; u < engine.network().switch_count(); ++u) {
+        Engine::Mutation m;
+        m.kind = Engine::Mutation::Kind::kFault;
+        m.fault = {0.0, fault::FaultKind::kSwitchDown, u, 0};
+        batch.push_back(std::move(m));
+    }
+    util::StatusOr<DeltaOutcome> outcome = util::Status::invalid("not run");
+    ASSERT_NO_THROW(outcome = engine.apply(std::move(batch)));
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), util::StatusCode::kInfeasible);
+    EXPECT_EQ(sink.counter("engine.escalated").value(), 1);
+    // The program set rolls back; the faults stay, so t0's placements no
+    // longer verify.
+    EXPECT_EQ(engine.program_names(), std::vector<std::string>{"t0"});
+    EXPECT_FALSE(engine.has_incumbent());
+}
+
+// Runs a program add (greedy rung) and then a switch-down that strands MATs
+// (re-place rung) on the zoo WAN at one thread, under `deadline`.
+struct StrandEpoch {
+    std::int64_t setup_polls = 0;  // anchor-scan polls of the add epoch
+    std::int64_t strand_polls = 0;  // anchor-scan polls of the switch-down epoch
+    util::StatusOr<DeltaOutcome> outcome = util::Status::invalid("not run");
+    bool verified = false;          // the incumbent afterwards passes verify()
+    std::int64_t degraded = 0;      // engine.degraded
+};
+
+StrandEpoch strand_a_switch(const Deadline& deadline) {
+    obs::Sink sink;
+    EngineOptions options;
+    options.sink = &sink;
+    options.threads = 1;
+    options.deadline = deadline;
+    Engine engine(zoo_wan(), options);
+    StrandEpoch run;
+    EXPECT_TRUE(engine.add_program(tenant(91, 0)).ok());
+    run.setup_polls = sink.counter("greedy.anchors_tried").value();
+    fault::FaultEvent down;
+    down.kind = fault::FaultKind::kSwitchDown;
+    down.a = engine.incumbent().placements.front().sw;
+    EXPECT_NO_THROW(run.outcome = engine.apply_fault(down));
+    run.strand_polls = sink.counter("greedy.anchors_tried").value() - run.setup_polls;
+    run.verified = engine.has_incumbent() &&
+                   verify(engine.merged(), engine.network(), engine.incumbent()).ok;
+    run.degraded = sink.counter("engine.degraded").value();
+    return run;
+}
+
+TEST(Engine, DeadlineTripMidScanServesDegradedVerifiedIncumbent) {
+    // At one thread the greedy anchor scan polls the token once per anchor
+    // and nothing else on this path spends a poll, so a deadline-free run's
+    // counters place the trip midway through the switch-down epoch's scan.
+    const StrandEpoch calibration = strand_a_switch(Deadline{});
+    ASSERT_TRUE(calibration.outcome.ok()) << calibration.outcome.status().to_string();
+    ASSERT_EQ(calibration.outcome.value().status, "replace");
+    ASSERT_FALSE(calibration.outcome.value().degraded);
+    ASSERT_GE(calibration.strand_polls, 4);
+
+    const StrandEpoch run = strand_a_switch(Deadline::after_polls(
+        calibration.setup_polls + calibration.strand_polls / 2 + 1));
+    ASSERT_TRUE(run.outcome.ok()) << run.outcome.status().to_string();
+    EXPECT_EQ(run.outcome.value().status, "replace");
+    EXPECT_TRUE(run.outcome.value().degraded);
+    EXPECT_TRUE(run.verified);
+    EXPECT_EQ(run.degraded, 1);
 }
 
 // ---- 200-event churn: verifier-clean and thread-count deterministic. -----

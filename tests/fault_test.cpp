@@ -1,7 +1,7 @@
 // Fault injection + self-healing repair: Network fail/recover semantics,
 // PathOracle epoch-based selective invalidation, fault scripts, the
-// Injector, the repair ladder, deadline-bounded degradation, and the
-// failure-window traffic replay.
+// Injector, the re-solve ladder after faults (core::redeploy), its
+// deadline-bounded degradation, and the failure-window traffic replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -350,7 +350,7 @@ TEST(Injector, CountsAppliedAndNoops) {
                  std::out_of_range);
 }
 
-// ---- Damage classification and the repair ladder -------------------------
+// ---- Damage classification and the re-solve ladder ----------------------
 
 struct Scenario {
     net::Network net;
@@ -365,6 +365,43 @@ Scenario testbed_scenario(std::size_t switches = 6, int programs = 6) {
                {}};
     s.deployment = core::try_deploy_greedy(s.merged, s.net).value().deployment;
     return s;
+}
+
+// One climb of the re-solve ladder after faults: every placement carries
+// over, as in the CLI's fault replay.
+util::StatusOr<core::Redeployment> heal(const tdg::Tdg& t, const net::Network& n,
+                                        const core::Deployment& d,
+                                        const core::HermesOptions& options,
+                                        bool allow_milp = false) {
+    return core::redeploy(t, n, options, allow_milp, &d, d.placements, /*retarget=*/false);
+}
+
+util::StatusOr<core::Redeployment> heal(const Scenario& s, const core::HermesOptions& options,
+                                        bool allow_milp = false) {
+    return heal(s.merged, s.net, s.deployment, options, allow_milp);
+}
+
+// Ladder climbs recorded in `sink`: each one ticks exactly one rung.
+std::int64_t climbs(const obs::Sink& sink) {
+    std::int64_t total = 0;
+    for (const auto& c : sink.counters()) {
+        if (c.name.rfind("engine.rung.", 0) == 0) total += c.value;
+    }
+    return total;
+}
+
+void expect_same_deployment(const core::Deployment& a, const core::Deployment& b) {
+    ASSERT_EQ(a.placements.size(), b.placements.size());
+    for (std::size_t i = 0; i < a.placements.size(); ++i) {
+        EXPECT_EQ(a.placements[i].sw, b.placements[i].sw) << i;
+        EXPECT_EQ(a.placements[i].stage, b.placements[i].stage) << i;
+    }
+    ASSERT_EQ(a.routes.size(), b.routes.size());
+    for (const auto& [pair, path] : a.routes) {
+        const auto it = b.routes.find(pair);
+        ASSERT_NE(it, b.routes.end());
+        EXPECT_EQ(path.switches, it->second.switches);
+    }
 }
 
 TEST(Repair, ClassifyFindsStrandedMatsAndDeadRoutes) {
@@ -385,20 +422,22 @@ TEST(Repair, ClassifyFindsStrandedMatsAndDeadRoutes) {
 TEST(Repair, IntactDeploymentShortCircuits) {
     Scenario s = testbed_scenario();
     obs::Sink sink;
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.sink = &sink;
-    const core::RepairResult r = core::repair(s.merged, s.net, s.deployment, options);
-    EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.status, "intact");
-    EXPECT_EQ(r.replaced_mats, 0);
-    EXPECT_EQ(sink.counter("repair.events").value(), 1);
-    EXPECT_EQ(sink.counter("repair.deadline_aborts").value(), 0);
+    const auto r = heal(s, options);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().outcome.status, "intact");
+    EXPECT_EQ(r.value().outcome.moved_mats, 0);
+    EXPECT_EQ(sink.counter("engine.rung.intact").value(), 1);
+    EXPECT_EQ(climbs(sink), 1);
+    EXPECT_EQ(sink.counter("engine.degraded").value(), 0);
+    EXPECT_EQ(sink.counter("greedy.anchors_tried").value(), 0);  // no re-solve ran
 }
 
 TEST(Repair, SingleLinkFailureRepairsByReroutingOnly) {
     // Diamond: both MAT hosts survive a link failure, so the repair must be
-    // reroute-only — zero MATs move (the ISSUE's acceptance criterion). Cap
-    // per-switch stages so the workload spreads over at least two switches.
+    // reroute-only — zero MATs move. Cap per-switch stages so the workload
+    // spreads over at least two switches.
     net::Network n = diamond();
     for (net::SwitchId u = 0; u < n.switch_count(); ++u) n.props(u).stages = 4;
     n.bump_epoch();
@@ -417,20 +456,20 @@ TEST(Repair, SingleLinkFailureRepairsByReroutingOnly) {
         {0.0, fault::FaultKind::kLinkDown, route.switches[0], route.switches[1]}));
 
     obs::Sink sink;
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.sink = &sink;
     options.oracle = &oracle;
-    const core::RepairResult r = core::repair(merged, n, d, options);
-    ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.status, "reroute");
-    EXPECT_EQ(r.replaced_mats, 0);
-    EXPECT_GT(r.rerouted_pairs, 0);
-    EXPECT_EQ(sink.counter("repair.reroute_only").value(), 1);
-    EXPECT_EQ(sink.counter("repair.replaced_mats").value(), 0);
-    EXPECT_TRUE(core::verify(merged, n, r.deployment).ok);
+    const auto r = heal(merged, n, d, options);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().outcome.status, "reroute");
+    EXPECT_EQ(r.value().outcome.moved_mats, 0);
+    EXPECT_GT(r.value().outcome.rerouted_pairs, 0);
+    EXPECT_EQ(sink.counter("engine.rung.reroute").value(), 1);
+    EXPECT_EQ(sink.counter("engine.moved_mats").value(), 0);
+    EXPECT_TRUE(core::verify(merged, n, r.value().deployment).ok);
     // Placements untouched.
     for (std::size_t i = 0; i < d.placements.size(); ++i) {
-        EXPECT_EQ(d.placements[i].sw, r.deployment.placements[i].sw);
+        EXPECT_EQ(d.placements[i].sw, r.value().deployment.placements[i].sw);
     }
 }
 
@@ -442,63 +481,76 @@ TEST(Repair, SwitchFailureEscalatesToReplacement) {
     ASSERT_TRUE(injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0}));
 
     obs::Sink sink;
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.sink = &sink;
     options.oracle = &oracle;
-    const core::RepairResult r = core::repair(s.merged, s.net, s.deployment, options);
-    ASSERT_TRUE(r.ok) << r.status;
-    EXPECT_EQ(r.status, "replace");
-    EXPECT_GT(r.replaced_mats, 0);
-    EXPECT_TRUE(core::verify(s.merged, s.net, r.deployment).ok);
-    for (const core::Placement& p : r.deployment.placements) {
+    const auto r = heal(s, options);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().outcome.status, "replace");
+    EXPECT_GT(r.value().outcome.moved_mats, 0);
+    EXPECT_EQ(sink.counter("engine.moved_mats").value(), r.value().outcome.moved_mats);
+    EXPECT_TRUE(core::verify(s.merged, s.net, r.value().deployment).ok);
+    for (const core::Placement& p : r.value().deployment.placements) {
         EXPECT_NE(p.sw, victim);
     }
-    EXPECT_EQ(sink.counter("repair.deadline_aborts").value(), 0);
+    EXPECT_EQ(sink.counter("engine.degraded").value(), 0);
 }
 
 TEST(Repair, InfeasibleWhenNoCapacitySurvives) {
     Scenario s = testbed_scenario(3, 6);
+    const core::Deployment before = s.deployment;
     fault::Injector injector(s.net);
     for (net::SwitchId u = 0; u < s.net.switch_count(); ++u) {
         injector.apply({0.0, fault::FaultKind::kSwitchDown, u, 0});
     }
-    const core::RepairResult r = core::repair(s.merged, s.net, s.deployment);
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.status, "infeasible");
-    // The original deployment comes back untouched.
-    ASSERT_EQ(r.deployment.placements.size(), s.deployment.placements.size());
-    for (std::size_t i = 0; i < s.deployment.placements.size(); ++i) {
-        EXPECT_EQ(r.deployment.placements[i].sw, s.deployment.placements[i].sw);
-    }
+    const auto r = heal(s, {});
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInfeasible);
+    // The caller's deployment stays untouched.
+    expect_same_deployment(s.deployment, before);
 }
 
-TEST(Repair, MilpEscalationImprovesOrMatchesGreedy) {
+TEST(Repair, MilpRungRunsOnlyWhenGreedyFails) {
     Scenario s = testbed_scenario(6, 4);
     net::PathOracle oracle(s.net);
     fault::Injector injector(s.net, &oracle);
     const net::SwitchId victim = s.deployment.occupied_switches().front();
     ASSERT_TRUE(injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0}));
 
-    core::RepairOptions greedy_only;
-    greedy_only.oracle = &oracle;
-    const core::RepairResult g = core::repair(s.merged, s.net, s.deployment, greedy_only);
-    ASSERT_TRUE(g.ok);
+    core::HermesOptions options;
+    options.oracle = &oracle;
+    options.milp.time_limit_seconds = 30.0;
+    const auto greedy_only = heal(s, options);
+    ASSERT_TRUE(greedy_only.ok()) << greedy_only.status().to_string();
+    ASSERT_EQ(greedy_only.value().outcome.status, "replace");
 
-    core::RepairOptions with_milp = greedy_only;
-    with_milp.allow_milp = true;
-    with_milp.milp.time_limit_seconds = 30.0;
-    const core::RepairResult m = core::repair(s.merged, s.net, s.deployment, with_milp);
-    ASSERT_TRUE(m.ok) << m.status;
-    EXPECT_TRUE(m.status == "milp" || m.status == "replace") << m.status;
-    EXPECT_LE(core::max_pair_metadata(s.merged, m.deployment),
-              core::max_pair_metadata(s.merged, g.deployment));
-    EXPECT_TRUE(core::verify(s.merged, s.net, m.deployment).ok);
+    // The greedy re-place verifies, so the flag changes nothing.
+    obs::Sink sink;
+    options.sink = &sink;
+    const auto with_milp = heal(s, options, /*allow_milp=*/true);
+    ASSERT_TRUE(with_milp.ok()) << with_milp.status().to_string();
+    EXPECT_EQ(with_milp.value().outcome.status, "replace");
+    EXPECT_FALSE(with_milp.value().outcome.escalated);
+    EXPECT_EQ(sink.counter("engine.escalated").value(), 0);
+    expect_same_deployment(with_milp.value().deployment, greedy_only.value().deployment);
+
+    // Every switch down: greedy fails, the MILP rung runs once, and nothing
+    // verifies.
+    for (net::SwitchId u = 0; u < s.net.switch_count(); ++u) {
+        injector.apply({0.0, fault::FaultKind::kSwitchDown, u, 0});
+    }
+    obs::Sink down_sink;
+    options.sink = &down_sink;
+    const auto none = heal(s, options, /*allow_milp=*/true);
+    EXPECT_FALSE(none.ok());
+    EXPECT_EQ(none.status().code(), util::StatusCode::kInfeasible);
+    EXPECT_EQ(down_sink.counter("engine.escalated").value(), 1);
 }
 
 TEST(Repair, DeadlineTripDegradesToFallbackWithoutThrowing) {
-    // The token trips on the first poll the MILP escalation makes, after the
-    // greedy rung has finished: the ladder must return the greedy incumbent
-    // flagged as a deadline fallback, with no exception. The trip point is a
+    // The token trips inside the greedy anchor scan, after some anchors were
+    // evaluated: the ladder must serve the truncated greedy result flagged
+    // as degraded, with no exception and no escalation. The trip point is a
     // poll count, not a wall-clock budget, so it lands in the same place on
     // any machine and under sanitizers.
     sim::TestbedConfig testbed;
@@ -512,39 +564,38 @@ TEST(Repair, DeadlineTripDegradesToFallbackWithoutThrowing) {
     const net::SwitchId victim = s.deployment.occupied_switches().front();
     ASSERT_TRUE(injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0}));
 
-    // Greedy-only run: at one thread the anchor scan polls once per anchor.
+    // Greedy-only run: at one thread the anchor scan polls once per anchor,
+    // and nothing else on this path polls.
     obs::Sink calibration_sink;
-    core::RepairOptions calibrate;
-    calibrate.sink = &calibration_sink;
-    calibrate.oracle = &oracle;
-    calibrate.threads = 1;
-    const core::RepairResult baseline = core::repair(s.merged, s.net, s.deployment,
-                                                     calibrate);
-    ASSERT_TRUE(baseline.ok) << baseline.status;
-    const std::int64_t greedy_polls =
-        calibration_sink.counter("greedy.anchors_tried").value();
-    ASSERT_GT(greedy_polls, 0);
-
-    obs::Sink sink;
-    core::RepairOptions options;
-    options.sink = &sink;
+    core::HermesOptions options;
+    options.sink = &calibration_sink;
     options.oracle = &oracle;
     options.threads = 1;
-    options.allow_milp = true;
-    // The anchor scan's polls and the MILP rung's entry check pass; the next
-    // poll, the first inside the MILP rung, trips.
-    options.deadline = core::Deadline::after_polls(greedy_polls + 2);
-    core::RepairResult r;
-    ASSERT_NO_THROW(r = core::repair(s.merged, s.net, s.deployment, options));
-    ASSERT_TRUE(r.ok) << r.status;
-    EXPECT_EQ(r.status, "fallback(deadline)");
-    EXPECT_TRUE(core::verify(s.merged, s.net, r.deployment).ok);
-    EXPECT_EQ(sink.counter("repair.deadline_aborts").value(), 1);
+    const auto baseline = heal(s, options);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().to_string();
+    ASSERT_EQ(baseline.value().outcome.status, "replace");
+    const std::int64_t anchors = calibration_sink.counter("greedy.anchors_tried").value();
+    ASSERT_GE(anchors, 2);
+
+    // Polls before the budget's last pass and evaluate their anchors; the
+    // last one trips, midway through the scan.
+    obs::Sink sink;
+    options.sink = &sink;
+    options.deadline = core::Deadline::after_polls(anchors / 2 + 1);
+    util::StatusOr<core::Redeployment> r = util::Status::infeasible("not run");
+    ASSERT_NO_THROW(r = heal(s, options, /*allow_milp=*/true));
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    ASSERT_GE(sink.counter("greedy.anchors_feasible").value(), 1);
+    EXPECT_EQ(r.value().outcome.status, "replace");
+    EXPECT_TRUE(r.value().outcome.degraded);
+    EXPECT_FALSE(r.value().outcome.escalated);
+    EXPECT_TRUE(core::verify(s.merged, s.net, r.value().deployment).ok);
+    EXPECT_EQ(sink.counter("engine.degraded").value(), 1);
 }
 
 // ---- 50-event seeded WAN scenario ----------------------------------------
 
-// Runs the full fail -> notify oracle -> repair -> verify loop over a seeded
+// Runs the full fail -> notify oracle -> redeploy -> verify loop over a seeded
 // script and returns a fingerprint of the evolution (status sequence +
 // objective per event).
 std::vector<std::pair<std::string, std::int64_t>> run_scenario(int threads) {
@@ -563,22 +614,28 @@ std::vector<std::pair<std::string, std::int64_t>> run_scenario(int threads) {
     EXPECT_EQ(script.size(), 50u);
 
     fault::Injector injector(n, &oracle);
-    core::RepairOptions repair_options;
+    core::HermesOptions repair_options;
     repair_options.oracle = &oracle;
     repair_options.threads = threads;
 
     std::vector<std::pair<std::string, std::int64_t>> fingerprint;
     for (const fault::FaultEvent& e : script) {
         injector.apply(e);
-        const core::RepairResult r = core::repair(merged, n, current, repair_options);
-        EXPECT_TRUE(r.ok) << to_string(e.kind) << " " << e.a << " " << e.b << ": "
-                          << r.status;
-        const core::VerificationReport report = core::verify(merged, n, r.deployment);
+        const auto r = heal(merged, n, current, repair_options);
+        if (!r.ok()) {
+            ADD_FAILURE() << to_string(e.kind) << " " << e.a << " " << e.b << ": "
+                          << r.status().to_string();
+            fingerprint.emplace_back("infeasible", core::max_pair_metadata(merged, current));
+            continue;
+        }
+        const core::VerificationReport report =
+            core::verify(merged, n, r.value().deployment);
         EXPECT_TRUE(report.ok) << (report.violations.empty()
-                                       ? r.status
+                                       ? r.value().outcome.status
                                        : report.violations.front());
-        current = r.deployment;
-        fingerprint.emplace_back(r.status, core::max_pair_metadata(merged, current));
+        current = r.value().deployment;
+        fingerprint.emplace_back(r.value().outcome.status,
+                                 core::max_pair_metadata(merged, current));
     }
     return fingerprint;
 }
@@ -603,10 +660,10 @@ TEST(Replay, CountsPacketsLostBeforeRepairAndAmaxDelta) {
     const net::SwitchId victim = s.deployment.occupied_switches().front();
     ASSERT_TRUE(injector.apply({0.0, fault::FaultKind::kSwitchDown, victim, 0}));
 
-    core::RepairOptions options;
+    core::HermesOptions options;
     options.oracle = &oracle;
-    const core::RepairResult r = core::repair(s.merged, s.net, s.deployment, options);
-    ASSERT_TRUE(r.ok);
+    const auto r = heal(s, options);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
 
     obs::Sink sink;
     sim::ReplayConfig config;
@@ -616,7 +673,7 @@ TEST(Replay, CountsPacketsLostBeforeRepairAndAmaxDelta) {
     config.flow.payload_bytes_total = 1460 * 50;
     config.sim.sink = &sink;
     const sim::ReplayReport report = sim::replay_failure_window(
-        s.merged, s.net, s.deployment, r.deployment, config, &oracle);
+        s.merged, s.net, s.deployment, r.value().deployment, config, &oracle);
     EXPECT_EQ(report.flows_total, 10);
     EXPECT_EQ(report.flows_lost, 4);  // launches at 0,100,200,300 ride the dead one
     EXPECT_GT(report.packets_lost_before_repair, 0);

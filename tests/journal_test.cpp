@@ -1,7 +1,8 @@
 // Write-ahead journal tests (core/journal.h, DESIGN.md §5k): record framing
 // and CRC validation, torn-tail truncation, atomic snapshot rotation, the
 // program/deployment payload codecs, crash-point accounting, and
-// Engine::recover producing a state bit-identical to an uninterrupted run.
+// Engine::recover producing a state bit-identical to an uninterrupted run
+// (and refusing a snapshot that names switches its topology lacks).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include "core/engine.h"
 #include "core/journal.h"
 #include "fault/crash.h"
+#include "net/topozoo.h"
 #include "prog/synthetic.h"
 #include "sim/testbed.h"
 #include "util/crc.h"
@@ -403,6 +405,73 @@ TEST(EngineJournal, SnapshotRotationBoundsReplay) {
     EXPECT_GT(report.value().snapshot_epoch, 0);
     EXPECT_LT(report.value().replayed_epochs, 3);
     EXPECT_EQ(recovered.fingerprint(), fingerprint);
+    remove_journal(path);
+}
+
+TEST(EngineJournal, RecoverRejectsSnapshotFromAnotherTopology) {
+    // A snapshot journaled on table3:10 names failed switch 68; table3:1 has
+    // 65 switches. Recovering it there must be invalid input, with no
+    // element failed, instead of an exception out of the injector.
+    const std::string path = temp_path("engine_foreign_snapshot.log");
+    remove_journal(path);
+    JournalOptions journal_options;
+    journal_options.snapshot_interval = 1;  // rotate a snapshot every epoch
+    {
+        Engine engine(net::table3_topology(10));
+        ASSERT_GT(engine.network().switch_count(), 68u);
+        ASSERT_TRUE(engine.recover(path, journal_options).ok());
+        ASSERT_TRUE(engine.add_program(prog::synthetic_program({}, 5, 0)).ok());
+        fault::FaultEvent down;
+        down.kind = fault::FaultKind::kSwitchDown;
+        down.a = 68;
+        ASSERT_TRUE(engine.apply_fault(down).ok());
+    }
+
+    Engine recovered(net::table3_topology(1));
+    ASSERT_EQ(recovered.network().switch_count(), 65u);
+    util::StatusOr<Engine::RecoveryReport> report = util::Status::io("not run");
+    ASSERT_NO_THROW(report = recovered.recover(path, journal_options));
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidInput);
+    const net::Network& n = recovered.network();
+    for (net::SwitchId u = 0; u < n.switch_count(); ++u) EXPECT_TRUE(n.switch_up(u)) << u;
+    for (const net::Link& l : n.links()) EXPECT_TRUE(l.up) << l.a << "-" << l.b;
+    EXPECT_EQ(recovered.program_count(), 0u);
+    remove_journal(path);
+}
+
+TEST(EngineJournal, RecoverRejectsIncumbentRouteOutsideTopology) {
+    // A snapshot whose incumbent records a route out of switch 99 on a
+    // 4-switch testbed: re-verifying it would look the missing switch up.
+    const std::string path = temp_path("engine_foreign_route.log");
+    remove_journal(path);
+    const prog::Program program = prog::synthetic_program({}, 7, 0);
+    Deployment incumbent;
+    incumbent.placements.assign(program.to_tdg().node_count(), Placement{0, 0});
+    incumbent.placements.back().sw = 1;
+    net::Path foreign;
+    foreign.switches = {99, 1};
+    incumbent.routes[{99, 1}] = foreign;
+    util::JsonObject snapshot;
+    snapshot.emplace_back("type", "snapshot");
+    snapshot.emplace_back("epoch", 1);
+    snapshot.emplace_back("programs", util::JsonArray{program_to_json(program)});
+    snapshot.emplace_back("down_switches", util::JsonArray{});
+    snapshot.emplace_back("down_links", util::JsonArray{});
+    snapshot.emplace_back("incumbent_ok", true);
+    snapshot.emplace_back("incumbent", deployment_to_json(incumbent));
+    {
+        util::StatusOr<Journal> journal = Journal::open(path);
+        ASSERT_TRUE(journal.ok()) << journal.status().to_string();
+        ASSERT_TRUE(journal.value().rotate(util::Json(std::move(snapshot))).ok());
+    }
+
+    Engine recovered(testbed());
+    util::StatusOr<Engine::RecoveryReport> report = util::Status::io("not run");
+    ASSERT_NO_THROW(report = recovered.recover(path, {}));
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidInput);
+    EXPECT_EQ(recovered.program_count(), 0u);
     remove_journal(path);
 }
 

@@ -5,9 +5,7 @@
 // even when a search aborts through a Deadline token.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "core/deadline.h"
 #include "milp/simplex.h"
@@ -138,9 +136,10 @@ TEST(WarmStart, CertifiedInfeasibilityCountsAsHit) {
 }
 
 TEST(WarmStart, DeadlineAbortStillFlushesWarmCounters) {
-    // A search cancelled mid-run through its Deadline token must still flush
-    // the per-worker lp.warm_* counters on the abort path (the RAII flush in
-    // the worker), not only on clean exits.
+    // A search cut short through its Deadline token must still flush the
+    // per-worker lp.warm_* counters on the abort path (the RAII flush in the
+    // worker), not only on clean exits. The token trips on a poll count, so
+    // the abort lands at the same point on any machine.
     util::SplitMix64 rng(99);
     Model m;
     LinExpr weight, value;
@@ -152,31 +151,34 @@ TEST(WarmStart, DeadlineAbortStillFlushesWarmCounters) {
     m.add_constraint(weight, Sense::kLe, 120.0);
     m.maximize(value);
 
+    const auto solve = [&m](std::int64_t polls, obs::Sink* sink) {
+        MilpOptions options;
+        options.sink = sink;
+        options.threads = 1;
+        options.presolve = false;
+        options.deadline = core::Deadline::after_polls(polls);
+        return solve_milp(m, options);
+    };
+    // The smallest poll budget the search completes within (each solve
+    // takes about a millisecond); half of it aborts mid-search.
+    std::int64_t complete = 1;
+    while (solve(complete, nullptr).status != MilpStatus::kOptimal) {
+        ASSERT_LT(++complete, 100'000) << "the search never completes";
+    }
     obs::Sink sink;
-    MilpOptions options;
-    options.sink = &sink;
-    options.threads = 1;
-    options.presolve = false;
-    options.deadline = core::Deadline::cancellable();
-    std::thread canceller([&options] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        options.deadline.cancel();
-    });
-    const MilpResult r = solve_milp(m, options);
-    canceller.join();
-    EXPECT_TRUE(r.status == MilpStatus::kTimeLimit ||
-                r.status == MilpStatus::kOptimal);
+    const MilpResult r = solve(complete / 2, &sink);
+    EXPECT_TRUE(r.status == MilpStatus::kTimeLimit || r.status == MilpStatus::kNoSolution)
+        << to_string(r.status) << " at " << complete / 2 << " of " << complete << " polls";
 
     std::int64_t attempts = -1, hits = -1;
     for (const auto& c : sink.counters()) {
         if (c.name == "lp.warm_attempts") attempts = c.value;
         if (c.name == "lp.warm_hits") hits = c.value;
     }
-    // Both counters must exist even on the abort path; on this instance the
-    // search always opens enough nodes before the cancel to attempt warm
-    // starts.
-    ASSERT_GE(attempts, 0);
+    // Both counters must exist on the abort path, and the search must have
+    // opened enough nodes before the abort to attempt warm starts.
     ASSERT_GE(hits, 0);
+    EXPECT_GT(attempts, 0);
     EXPECT_LE(hits, attempts);
 }
 

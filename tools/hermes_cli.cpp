@@ -15,9 +15,10 @@
 //              [--repair-deadline <s>] [--repair-milp]
 //       Deploy and print placements, routes, and metrics. With
 //       --fault-script, afterwards replay the failure script event by
-//       event: inject the fault, run the self-healing repair ladder
-//       (core/repair.h), verify the repaired deployment, and report
-//       per-event status plus traffic lost before each repair.
+//       event: inject the fault, climb the re-solve ladder that
+//       hermes_serve's engine climbs too (core/repair.h), verify the
+//       repaired deployment, and report per-event status plus traffic lost
+//       before each repair.
 //
 //   hermes_cli replay ...
 //       Same flags as solve, but --fault-script is required: the fault
@@ -51,6 +52,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "baselines/common.h"
 #include "cli_common.h"
@@ -107,9 +109,10 @@ strategies    : greedy (default) | optimal | ms | sonata | speed | mtp | fp
 --fault-script: failure scenario — a script file (see src/fault/fault.h for
                 the text format) or random:<events>[:seed] for a generated one
 --repair-deadline: wall-clock budget per repair in seconds (0 = none); on
-                expiry the repair degrades to its best incumbent instead of
-                escalating further
---repair-milp : allow the repair ladder to escalate to a MILP re-solve
+                expiry the repair serves its truncated greedy result, else
+                the previous deployment if it still verifies
+--repair-milp : let a repair escalate to a MILP re-solve when the greedy
+                re-place fails to verify
 --sim-flows   : after deploying, push this many concurrent flows through the
                 deployment's route with the sharded traffic engine and
                 report FCT/goodput under contention (default 0 = off)
@@ -266,12 +269,12 @@ int cmd_analyze(const std::vector<std::string>& args) {
 }
 
 // Replays a failure script against the live deployment: inject each event,
-// run the repair ladder, verify, and measure traffic lost in the window
+// climb the re-solve ladder, verify, and measure traffic lost in the window
 // before the repair lands. Returns false when any repair or verification
 // fails.
 bool run_fault_replay(const Options& options, net::Network& network,
                       const tdg::Tdg& merged, core::Deployment deployment,
-                      net::PathOracle& oracle, obs::Sink* sink) {
+                      core::HermesOptions hermes_options, obs::Sink* sink) {
     std::vector<fault::FaultEvent> script;
     const auto parts = util::split(options.fault_script, ':');
     if (!parts.empty() && parts[0] == "random") {
@@ -286,59 +289,49 @@ bool run_fault_replay(const Options& options, net::Network& network,
         script = unwrap(fault::load_fault_script(options.fault_script));
     }
 
-    fault::Injector injector(network, &oracle, sink);
-    core::RepairOptions repair_options;
-    repair_options.threads = options.threads;
-    repair_options.seed = options.seed;
-    repair_options.sink = sink;
-    repair_options.epsilon1 = options.eps1;
-    repair_options.epsilon2 = options.eps2;
-    repair_options.oracle = &oracle;
-    repair_options.allow_milp = options.repair_milp;
-    repair_options.milp.time_limit_seconds = options.time_limit;
-    repair_options.milp.threads = options.threads;
-
+    fault::Injector injector(network, hermes_options.oracle, sink);
     util::Table table({"t (us)", "event", "status", "moved", "rerouted",
                        "repair (ms)", "pkts lost"});
     bool ok = true;
     std::int64_t total_lost = 0;
     for (const fault::FaultEvent& e : script) {
         injector.apply(e);
-        const core::Deployment before = deployment;
         if (options.repair_deadline > 0.0) {
-            repair_options.deadline = core::Deadline::after(options.repair_deadline);
+            hermes_options.deadline = core::Deadline::after(options.repair_deadline);
         }
-        const core::RepairResult r = core::repair(merged, network, deployment,
-                                                  repair_options);
-        std::int64_t lost = 0;
-        if (r.ok) {
-            deployment = r.deployment;
-            const core::VerificationReport report =
-                core::verify(merged, network, deployment);
-            if (!report.ok) {
-                ok = false;
-                for (const std::string& v : report.violations) {
-                    std::cerr << "  ! " << v << "\n";
-                }
-            }
-            sim::ReplayConfig replay_config;
-            replay_config.flow.payload_bytes_total = 1460 * 10;
-            replay_config.sim.sink = sink;
-            lost = sim::replay_failure_window(merged, network, before, deployment,
-                                              replay_config, &oracle)
-                       .packets_lost_before_repair;
-            total_lost += lost;
-        } else {
-            ok = false;
-        }
+        util::StatusOr<core::Redeployment> r =
+            core::redeploy(merged, network, hermes_options, options.repair_milp,
+                           &deployment, deployment.placements, /*retarget=*/false);
         std::string what = to_string(e.kind);
         what += ' ';
         what += std::to_string(e.a);
         if (e.is_link()) what += "-" + std::to_string(e.b);
-        table.add_row({util::Table::num(e.at_us, 1), what, r.status,
-                       util::Table::num(r.replaced_mats),
-                       util::Table::num(r.rerouted_pairs),
-                       util::Table::num(r.repair_seconds * 1e3, 2),
+        if (!r.ok()) {
+            ok = false;
+            table.add_row({util::Table::num(e.at_us, 1), what, "infeasible", "-", "-", "-",
+                           "-"});
+            continue;
+        }
+        const core::DeltaOutcome& outcome = r.value().outcome;
+        const core::Deployment before =
+            std::exchange(deployment, std::move(r.value().deployment));
+        const core::VerificationReport report = core::verify(merged, network, deployment);
+        if (!report.ok) {
+            ok = false;
+            for (const std::string& v : report.violations) std::cerr << "  ! " << v << "\n";
+        }
+        sim::ReplayConfig replay_config;
+        replay_config.flow.payload_bytes_total = 1460 * 10;
+        replay_config.sim.sink = sink;
+        const std::int64_t lost =
+            sim::replay_failure_window(merged, network, before, deployment, replay_config,
+                                       hermes_options.oracle)
+                .packets_lost_before_repair;
+        total_lost += lost;
+        table.add_row({util::Table::num(e.at_us, 1), what, outcome.status,
+                       util::Table::num(outcome.moved_mats),
+                       util::Table::num(outcome.rerouted_pairs),
+                       util::Table::num(outcome.solve_seconds * 1e3, 2),
                        util::Table::num(lost)});
     }
     if (options.csv) {
@@ -405,18 +398,19 @@ int cmd_solve(const std::vector<std::string>& args, bool require_fault_script) {
     double seconds = 0.0;
     std::string status;
     net::PathOracle oracle(network);
+    // Shared by the greedy/optimal deploy and the fault replay's repairs.
+    core::HermesOptions hermes_options;
+    hermes_options.threads = options.threads;
+    hermes_options.seed = options.seed;
+    hermes_options.sink = sink;
+    hermes_options.epsilon1 = options.eps1;
+    hermes_options.epsilon2 = options.eps2;
+    hermes_options.milp.time_limit_seconds = options.time_limit;
+    hermes_options.milp.threads = options.threads;
+    hermes_options.segment_level_milp = merged.node_count() > 40;
+    hermes_options.oracle = &oracle;
 
     if (options.strategy == "greedy" || options.strategy == "optimal") {
-        core::HermesOptions hermes_options;
-        hermes_options.threads = options.threads;
-        hermes_options.seed = options.seed;
-        hermes_options.sink = sink;
-        hermes_options.epsilon1 = options.eps1;
-        hermes_options.epsilon2 = options.eps2;
-        hermes_options.milp.time_limit_seconds = options.time_limit;
-        hermes_options.milp.threads = options.threads;
-        hermes_options.segment_level_milp = merged.node_count() > 40;
-        hermes_options.oracle = &oracle;
         const core::DeployOutcome outcome = unwrap(
             options.strategy == "greedy"
                 ? core::try_deploy_greedy(merged, network, hermes_options)
@@ -484,7 +478,7 @@ int cmd_solve(const std::vector<std::string>& args, bool require_fault_script) {
     if (!options.fault_script.empty()) {
         std::cout << "\n";
         survived = run_fault_replay(options, network, deployed_tdg, deployment,
-                                    oracle, sink);
+                                    hermes_options, sink);
     }
     if (sink != nullptr) write_exports_or_die(*sink, options);
     return report.ok && survived ? 0 : 1;

@@ -19,10 +19,12 @@
 //   --seed <n>              RNG seed (default 1)
 //   --epoch-deadline <s>    wall-clock budget per epoch re-solve (0 = none)
 //   --repair-deadline <s>   alias of --epoch-deadline (the paper-facing
-//                           spelling); past it an epoch degrades to the
-//                           verified incumbent instead of failing
+//                           spelling); past it an epoch serves its truncated
+//                           greedy result, else the still-verifying
+//                           incumbent, instead of failing
 //   --time-limit <s>        MILP escalation budget (default 30)
-//   --allow-milp            let failed delta/greedy epochs escalate to MILP
+//   --allow-milp            escalate an epoch to MILP when its greedy
+//                           re-solve fails to verify
 //   --listen <port>         serve TCP on 127.0.0.1:<port> (0 = ephemeral;
 //                           the bound port is printed to stderr)
 //   --max-connections <n>   exit after n TCP connections (0 = run forever)

@@ -77,7 +77,7 @@ util::StatusOr<ServeFlags> parse_serve_flags(const std::vector<std::string>& arg
                 flags.seed = static_cast<std::uint64_t>(util::parse_int(v.value()));
             } else if (flag == "--epoch-deadline" || flag == "--repair-deadline") {
                 // --repair-deadline is the paper-facing spelling: the budget
-                // after which an epoch degrades to the verified incumbent.
+                // after which an epoch's ladder stops climbing and degrades.
                 flags.epoch_deadline = util::parse_double(v.value());
             } else if (flag == "--journal") {
                 flags.journal = v.value();
