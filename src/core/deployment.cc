@@ -31,6 +31,54 @@ std::vector<tdg::NodeId> Deployment::mats_on(net::SwitchId u) const {
     return out;
 }
 
+SegmentPacker::SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity)
+    : t_(t),
+      stages_(stages),
+      stage_capacity_(stage_capacity),
+      pred_first_(t.node_count() + 1, 0),
+      preds_(t.edge_count()),
+      stage_(t.node_count(), -1),
+      load_(static_cast<std::size_t>(std::max(stages, 0)), 0.0) {
+    for (const tdg::Edge& e : t.edges()) ++pred_first_[e.to + 1];
+    for (std::size_t v = 0; v < t.node_count(); ++v) pred_first_[v + 1] += pred_first_[v];
+    std::vector<std::size_t> next(pred_first_.begin(), pred_first_.end() - 1);
+    for (const tdg::Edge& e : t.edges()) preds_[next[e.to]++] = e.from;
+}
+
+int SegmentPacker::place(tdg::NodeId v) {
+    int earliest = 0;
+    for (std::size_t k = pred_first_[v]; k < pred_first_[v + 1]; ++k) {
+        const int p = stage_[preds_[k]];
+        if (p >= 0) earliest = std::max(earliest, p + 1);
+    }
+    const double need = t_.node(v).resource_units();
+    if (need > stage_capacity_) return -1;  // MAT larger than a stage
+    for (int s = earliest; s < stages_; ++s) {
+        double& load = load_[static_cast<std::size_t>(s)];
+        if (load + need <= stage_capacity_ + 1e-9) {
+            load += need;
+            total_ += need;
+            stage_[v] = s;
+            packed_.push_back(v);
+            return s;
+        }
+    }
+    return -1;
+}
+
+bool SegmentPacker::add(tdg::NodeId v) {
+    const double need = t_.node(v).resource_units();
+    if (total_ + need > stages_ * stage_capacity_ + 1e-9) return false;
+    return place(v) >= 0;
+}
+
+void SegmentPacker::clear() {
+    for (const tdg::NodeId v : packed_) stage_[v] = -1;
+    packed_.clear();
+    std::fill(load_.begin(), load_.end(), 0.0);
+    total_ = 0.0;
+}
+
 std::optional<std::vector<int>> assign_stages(const tdg::Tdg& t,
                                               const std::vector<tdg::NodeId>& segment,
                                               int stages, double stage_capacity) {
@@ -47,43 +95,13 @@ std::optional<std::vector<int>> assign_stages(const tdg::Tdg& t,
         member[v] = 1;
     }
 
-    // Process in global topological order restricted to the segment. A
-    // single edge pass builds intra-segment predecessor lists; this routine
-    // is the innermost loop of splitting/coalescing, so everything is
-    // node-indexed flat storage (no associative containers).
-    std::vector<tdg::NodeId> order;
-    order.reserve(segment.size());
+    // Pack in global topological order restricted to the segment.
+    SegmentPacker packer(t, stages, stage_capacity);
     for (const tdg::NodeId v : t.topological_order()) {
-        if (member[v]) order.push_back(v);
+        if (member[v] && packer.place(v) < 0) return std::nullopt;
     }
-    std::vector<std::vector<tdg::NodeId>> preds(n);
-    for (const tdg::Edge& e : t.edges()) {
-        if (member[e.from] && member[e.to]) preds[e.to].push_back(e.from);
-    }
-
-    std::vector<double> stage_load(static_cast<std::size_t>(stages), 0.0);
-    std::vector<int> stage_of(n, 0);
-    for (const tdg::NodeId v : order) {
-        int earliest = 0;
-        for (const tdg::NodeId p : preds[v]) {
-            earliest = std::max(earliest, stage_of[p] + 1);
-        }
-        const double need = t.node(v).resource_units();
-        if (need > stage_capacity) return std::nullopt;  // MAT larger than a stage
-        int chosen = -1;
-        for (int s = earliest; s < stages; ++s) {
-            if (stage_load[static_cast<std::size_t>(s)] + need <= stage_capacity + 1e-9) {
-                chosen = s;
-                break;
-            }
-        }
-        if (chosen < 0) return std::nullopt;
-        stage_load[static_cast<std::size_t>(chosen)] += need;
-        stage_of[v] = chosen;
-    }
-
     std::vector<int> result(segment.size());
-    for (std::size_t i = 0; i < segment.size(); ++i) result[i] = stage_of[segment[i]];
+    for (std::size_t i = 0; i < segment.size(); ++i) result[i] = packer.stage_of(segment[i]);
     return result;
 }
 

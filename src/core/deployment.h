@@ -39,6 +39,48 @@ struct Deployment {
     [[nodiscard]] std::vector<tdg::NodeId> mats_on(net::SwitchId u) const;
 };
 
+// Packs one segment onto one switch's stages by the topological first-fit
+// rule that assign_stages, split_tdg_first_fit and dp_split all share. Nodes
+// are offered in topological order; each lands in the earliest stage after
+// its packed predecessors that has room (1e-9 tolerance), and a node that no
+// stage can take leaves the packing as it was. Packing never moves a node
+// already packed, so growing a segment node by node packs it exactly as a
+// whole re-pack would, and once a node is refused every longer segment
+// fails too.
+class SegmentPacker {
+public:
+    // Indexes t's in-edges once, O(V + E). The geometry is not validated
+    // here (assign_stages does that).
+    SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity);
+
+    // Packs v. Its packed predecessors are taken to be its predecessors in
+    // the segment. Returns v's stage, or -1 when no stage can take it.
+    int place(tdg::NodeId v);
+
+    // place() behind the paper's aggregate test: v is refused when the
+    // segment's ΣR(a), summed in offer order, would exceed
+    // stages × capacity (+1e-9).
+    bool add(tdg::NodeId v);
+
+    // Empties the packing, in time linear in the nodes packed since the
+    // last clear.
+    void clear();
+
+    // Stage of a packed node.
+    [[nodiscard]] int stage_of(tdg::NodeId v) const { return stage_[v]; }
+
+private:
+    const tdg::Tdg& t_;
+    int stages_;
+    double stage_capacity_;
+    std::vector<std::size_t> pred_first_;  // in-edges of v: preds_[pred_first_[v] ..
+    std::vector<tdg::NodeId> preds_;       //   pred_first_[v + 1]), in edge order
+    std::vector<int> stage_;               // per node; -1 while unpacked
+    std::vector<double> load_;             // per stage
+    std::vector<tdg::NodeId> packed_;
+    double total_ = 0.0;
+};
+
 // Assigns pipeline stages to the nodes of `segment` (a subset of t's nodes)
 // on a switch with `stages` stages of `stage_capacity` resources each:
 // topological first-fit that respects intra-segment dependencies

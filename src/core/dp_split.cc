@@ -39,35 +39,26 @@ DpSplitResult dp_split(const tdg::Tdg& t, int stages, double stage_capacity) {
 
     const std::vector<std::int64_t> cut = boundary_cuts(t);
 
-    // fits[j][i]: interval [j, i) fits one switch. Computed per start j by
-    // extending until the first failure — segment_fits is monotone in the
-    // aggregate test but stage packing is not strictly monotone, so probe
-    // each extension individually and stop after a failure (a safe,
-    // slightly conservative envelope).
+    // best[i]: the minimum max-cut over segmentations of prefix i, reached
+    // with last interval [parent[i], i). Feasibility of [j, i) is monotone
+    // in i: first-fit never moves a packed node, and the aggregate total
+    // only grows. So one incremental pack per start j, stopped at the first
+    // node that does not fit, finds every feasible interval from j. Starts
+    // ascend and ties update (<=), so the largest start with the minimum
+    // wins.
     constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-    std::vector<std::int64_t> best(n + 1, kInf);  // best[i]: min max-cut for prefix i
+    std::vector<std::int64_t> best(n + 1, kInf);
     std::vector<std::size_t> parent(n + 1, 0);
     best[0] = 0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        // Try all feasible last intervals [j, i).
-        std::vector<tdg::NodeId> interval;
-        for (std::size_t j = i; j-- > 0;) {
-            interval.insert(interval.begin(), order[j]);
-            if (best[j] == kInf) continue;
-            if (!segment_fits(t, interval, stages, stage_capacity)) {
-                // Larger intervals only add resources; once the aggregate
-                // test fails, no extension can fit. Stage-packing failures
-                // are not monotone, so only stop on aggregate overflow.
-                double total = 0.0;
-                for (const tdg::NodeId v : interval) total += t.node(v).resource_units();
-                if (total > stages * stage_capacity + 1e-9) break;
-                continue;
-            }
-            const std::int64_t candidate =
-                std::max(best[j], j == 0 ? 0 : cut[j]);
-            if (candidate < best[i]) {
-                best[i] = candidate;
-                parent[i] = j;
+    SegmentPacker packer(t, stages, stage_capacity);
+    for (std::size_t j = 0; j < n; ++j) {
+        if (best[j] == kInf) continue;
+        const std::int64_t candidate = std::max(best[j], j == 0 ? 0 : cut[j]);
+        packer.clear();
+        for (std::size_t i = j; i < n && packer.add(order[i]); ++i) {
+            if (candidate <= best[i + 1]) {
+                best[i + 1] = candidate;
+                parent[i + 1] = j;
             }
         }
     }

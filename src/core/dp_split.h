@@ -10,8 +10,13 @@
 //   maximum cut metadata max_i cut(b_i) — the bytes in flight on the wire
 //   between consecutive switches (the physical per-packet overhead).
 //
-// O(n^2) DP with O(n·E) precomputation. Used by the ablation benchmarks to
-// quantify how much optimality the paper's recursive heuristic gives up.
+// The DP sweeps each start position forward with one incremental first-fit
+// pack (core::SegmentPacker) and stops at the first node that does not fit:
+// O(n·k·deg) for intervals of at most k nodes, plus one topological sort.
+// greedy_deploy runs it as a refinement on TDGs of up to 250 MATs and keeps
+// its segmentation when that places with a lower A_max; the ablation
+// benchmarks use it to quantify how much optimality the paper's recursive
+// heuristic gives up.
 #pragma once
 
 #include "core/deployment.h"

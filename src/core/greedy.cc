@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace hermes::core {
 
@@ -156,58 +157,21 @@ std::vector<std::vector<tdg::NodeId>> split_tdg_first_fit(const tdg::Tdg& t,
     const TdgIndex index(t);
     index.sort_topologically(nodes);
 
-    // Incremental segment state mirroring segment_fits exactly: the open
-    // segment's aggregate resource total and first-fit per-stage loads.
-    // Appending the topologically-last node never changes earlier
-    // assignments, so extending incrementally equals re-packing the whole
-    // extended segment (what the original did per node, at O(V) a pop).
-    const double aggregate_capacity = stages * stage_capacity;
-    std::vector<char> member(t.node_count(), 0);
-    std::vector<int> stage_of(t.node_count(), 0);
-    std::vector<double> load(static_cast<std::size_t>(stages), 0.0);
-    double total = 0.0;
+    // Packing never moves a node already packed, so growing the open segment
+    // node by node equals re-packing it whole at each step.
+    SegmentPacker packer(t, stages, stage_capacity);
+    std::vector<std::vector<tdg::NodeId>> segments;
     std::vector<tdg::NodeId> current;
-
-    auto try_add = [&](tdg::NodeId v) {
-        const double need = t.node(v).resource_units();
-        if (total + need > aggregate_capacity + 1e-9) return false;
-        if (need > stage_capacity) return false;
-        int earliest = 0;
-        for (const TdgIndex::Arc& a : index.in[v]) {
-            if (member[a.peer]) earliest = std::max(earliest, stage_of[a.peer] + 1);
-        }
-        int chosen = -1;
-        for (int s = earliest; s < stages; ++s) {
-            if (load[static_cast<std::size_t>(s)] + need <= stage_capacity + 1e-9) {
-                chosen = s;
-                break;
+    for (const tdg::NodeId v : nodes) {
+        if (!packer.add(v)) {
+            if (!current.empty()) segments.push_back(std::exchange(current, {}));
+            packer.clear();
+            if (!packer.add(v)) {
+                throw std::runtime_error("split_tdg_first_fit: MAT '" + t.node(v).name() +
+                                         "' cannot fit any switch");
             }
         }
-        if (chosen < 0) return false;
-        load[static_cast<std::size_t>(chosen)] += need;
-        stage_of[v] = chosen;
-        member[v] = 1;
-        total += need;
         current.push_back(v);
-        return true;
-    };
-
-    std::vector<std::vector<tdg::NodeId>> segments;
-    for (const tdg::NodeId v : nodes) {
-        if (try_add(v)) continue;
-        if (current.empty()) {
-            throw std::runtime_error("split_tdg_first_fit: MAT '" + t.node(v).name() +
-                                     "' cannot fit any switch");
-        }
-        for (const tdg::NodeId u : current) member[u] = 0;
-        std::fill(load.begin(), load.end(), 0.0);
-        total = 0.0;
-        segments.push_back(std::move(current));
-        current.clear();
-        if (!try_add(v)) {
-            throw std::runtime_error("split_tdg_first_fit: MAT '" + t.node(v).name() +
-                                     "' cannot fit any switch");
-        }
     }
     if (!current.empty()) segments.push_back(std::move(current));
     return segments;
@@ -532,19 +496,30 @@ GreedyResult greedy_deploy(const tdg::Tdg& t, const net::Network& net,
     } catch (const std::runtime_error&) {
         // Fall through: the DP segmentation may still be feasible.
     }
-    if (t.node_count() <= kDpRefinementLimit) {
+    const bool refine = t.node_count() <= kDpRefinementLimit;
+    bool refinement_kept = false;
+    if (refine) {
         try {
-            const DpSplitResult dp =
-                dp_split(t, reference.stages, reference.stage_capacity);
+            std::vector<std::vector<tdg::NodeId>> dp_segments;
+            {
+                obs::Span span(options.sink, "greedy.dp_split");
+                dp_segments =
+                    dp_split(t, reference.stages, reference.stage_capacity).segments;
+            }
             GreedyResult refined =
-                deploy_segments_on_chain(t, net, dp.segments, options, oracle);
+                deploy_segments_on_chain(t, net, std::move(dp_segments), options, oracle);
             if (!best || max_pair_metadata(t, refined.deployment) <
                              max_pair_metadata(t, best->deployment)) {
                 best = std::move(refined);
+                refinement_kept = true;
             }
         } catch (const std::runtime_error&) {
             // DP infeasible under these bounds; keep the recursive result.
         }
+    }
+    if (obs::Sink* sink = options.sink) {
+        sink->counter("greedy.dp_refinements").add(refine ? 1 : 0);
+        sink->counter("greedy.dp_wins").add(refinement_kept ? 1 : 0);
     }
     if (!best) {
         throw std::runtime_error(

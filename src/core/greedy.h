@@ -6,11 +6,13 @@
 // consecutive switches with shortest paths.
 //
 // The splitter and coalescer run on an adjacency-indexed view of the TDG
-// (out-/in-edge lists plus flat membership flags), so one split level is
-// O(V + E) instead of the edge-rescanning O(V·E); the anchor search shares
-// one net::PathOracle per Network and can fan out over a thread pool. All
-// rewrites are bit-identical to the retained reference implementations in
-// core/greedy_reference.h (enforced by tests/greedy_equivalence_test).
+// (out-/in-edge lists plus flat membership flags), so a split level's cut
+// scan is linear in the nodes it splits and their edges; its segment_fits
+// check costs one O((V + E) log V) topological sort of the whole TDG. The
+// anchor search shares one net::PathOracle per Network and can fan out over
+// a thread pool. All rewrites are bit-identical to the retained reference
+// implementations in core/greedy_reference.h (enforced by
+// tests/greedy_equivalence_test).
 #pragma once
 
 #include <cstdint>

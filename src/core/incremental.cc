@@ -44,14 +44,10 @@ std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
     // Chain: the existing traversal order followed by untouched programmable
     // switches (nearest-first to the chain tail would need a metric; id
     // order keeps it deterministic).
-    tdg::Tdg base_view = combined;  // traversal_order only reads placements' nodes
     std::vector<net::SwitchId> chain;
     if (base_count > 0) {
-        // Build a base-only view for the traversal (placements cover the
-        // prefix only).
-        Deployment base_deployment = existing;
-        // traversal_order needs a TDG whose node count matches; construct
-        // the order directly from the combined TDG restricted to old nodes.
+        // Order the occupied switches by the earliest topological position
+        // of an old node on them (the placements cover the prefix only).
         std::map<net::SwitchId, std::size_t> first_pos;
         const std::vector<tdg::NodeId> topo = combined.topological_order();
         std::vector<std::size_t> pos(combined.node_count());
@@ -143,8 +139,6 @@ std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
     }
 
     // Overhead delta: combined deployment vs the old nodes alone.
-    tdg::Tdg base_only = base_view;  // metadata already annotated on combined
-    (void)base_only;
     std::int64_t old_overhead = 0;
     {
         std::map<std::pair<net::SwitchId, net::SwitchId>, std::int64_t> pair_bytes;

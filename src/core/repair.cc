@@ -127,6 +127,7 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
     bump("engine.rerouted_pairs", 0);
     bump("engine.escalated", 0);
     bump("engine.degraded", 0);
+    bump("engine.rejected_candidates", 0);
 
     Redeployment result;
     DeltaOutcome& outcome = result.outcome;
@@ -150,10 +151,20 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
 
     if (t.node_count() == 0) return finish(Deployment{}, "empty", /*delta=*/true);
 
+    // Every check below vets a candidate, not a served deployment: it keeps
+    // the "verify" span, but a rejection ticks engine.rejected_candidates
+    // instead of verify.violations, which counts only what is served.
     VerifyOptions verify_options;
     static_cast<CommonOptions&>(verify_options) = static_cast<const CommonOptions&>(options);
     verify_options.epsilon1 = options.epsilon1;
     verify_options.epsilon2 = options.epsilon2;
+    verify_options.sink = nullptr;
+    auto admissible = [&](const Deployment& d) {
+        obs::Span span(sink, "verify");
+        const bool ok = verify(t, net, d, verify_options).ok;
+        if (!ok) bump("engine.rejected_candidates", 1);
+        return ok;
+    };
 
     // ---- Rung 1: patch the surviving placements in place. ----
     // A MAT stranded on a dead switch has to move: only the re-solve rungs
@@ -170,7 +181,7 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
             std::int64_t rerouted = 0;
             std::optional<Deployment> candidate =
                 patch_in_place(t, net, oracle, *previous, surviving, retarget, rerouted);
-            if (candidate.has_value() && verify(t, net, *candidate, verify_options).ok) {
+            if (candidate.has_value() && admissible(*candidate)) {
                 outcome.rerouted_pairs = rerouted;
                 const char* status = surviving.size() < t.node_count() ? "incremental"
                                      : retarget                         ? "retarget"
@@ -187,7 +198,7 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
     {
         obs::Span span(sink, "engine.greedy");
         util::StatusOr<DeployOutcome> greedy = try_deploy_greedy(t, net, options);
-        if (greedy.ok() && verify(t, net, greedy.value().deployment, verify_options).ok) {
+        if (greedy.ok() && admissible(greedy.value().deployment)) {
             solved = std::move(greedy).value().deployment;
         }
     }
@@ -196,7 +207,7 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
         outcome.escalated = true;
         bump("engine.escalated", 1);
         util::StatusOr<DeployOutcome> exact = try_deploy_optimal(t, net, options);
-        if (exact.ok() && verify(t, net, exact.value().deployment, verify_options).ok) {
+        if (exact.ok() && admissible(exact.value().deployment)) {
             solved = std::move(exact).value().deployment;
             status = "milp";
         }
@@ -210,8 +221,7 @@ util::StatusOr<Redeployment> redeploy(const tdg::Tdg& t, const net::Network& net
     if (outcome.degraded) bump("engine.degraded", 1);
     if (solved.has_value()) return finish(std::move(*solved), status, /*delta=*/false);
     if (outcome.degraded && previous != nullptr && surviving.size() == t.node_count() &&
-        previous->placements.size() == t.node_count() &&
-        verify(t, net, *previous, verify_options).ok) {
+        previous->placements.size() == t.node_count() && admissible(*previous)) {
         return finish(*previous, "degraded", /*delta=*/true);
     }
     return util::Status::infeasible(

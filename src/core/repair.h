@@ -26,10 +26,12 @@
 // fallbacks. No rung throws.
 //
 // Observability (options.sink): one span per rung (engine.delta,
-// engine.greedy, engine.milp) and the counters engine.rung.<status>,
-// engine.moved_mats, engine.rerouted_pairs, engine.escalated and
-// engine.degraded, all registered at 0 on every call so exported metrics
-// carry them whichever rungs ran.
+// engine.greedy, engine.milp), a "verify" span per candidate check, and the
+// counters engine.rung.<status>, engine.moved_mats, engine.rerouted_pairs,
+// engine.escalated, engine.degraded and engine.rejected_candidates (rung
+// results the verifier turned down), all registered at 0 on every call so
+// exported metrics carry them whichever rungs ran. The candidate checks do
+// not add to verify.violations: a rejected candidate is never served.
 #pragma once
 
 #include <cstdint>

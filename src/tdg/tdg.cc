@@ -66,25 +66,37 @@ std::vector<NodeId> Tdg::predecessors(NodeId id) const {
 }
 
 std::vector<NodeId> Tdg::topological_order() const {
-    std::vector<std::size_t> in_degree(nodes_.size(), 0);
-    for (const Edge& e : edges_) ++in_degree[e.to];
+    // Successor lists in edge order, laid out flat by a counting sort over
+    // the edges, so each pop touches only its own out-edges: O((V + E) log V)
+    // instead of an edge-list rescan per pop.
+    const std::size_t n = nodes_.size();
+    std::vector<std::size_t> in_degree(n, 0);
+    std::vector<std::size_t> first(n + 1, 0);
+    for (const Edge& e : edges_) {
+        ++in_degree[e.to];
+        ++first[e.from + 1];
+    }
+    for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+    std::vector<NodeId> successors(edges_.size());
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const Edge& e : edges_) successors[next[e.from]++] = e.to;
 
     // Min-heap over node ids for deterministic tie-breaking.
     std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
-    for (NodeId v = 0; v < nodes_.size(); ++v) {
+    for (NodeId v = 0; v < n; ++v) {
         if (in_degree[v] == 0) ready.push(v);
     }
     std::vector<NodeId> order;
-    order.reserve(nodes_.size());
+    order.reserve(n);
     while (!ready.empty()) {
         const NodeId v = ready.top();
         ready.pop();
         order.push_back(v);
-        for (const Edge& e : edges_) {
-            if (e.from == v && --in_degree[e.to] == 0) ready.push(e.to);
+        for (std::size_t k = first[v]; k < first[v + 1]; ++k) {
+            if (--in_degree[successors[k]] == 0) ready.push(successors[k]);
         }
     }
-    if (order.size() != nodes_.size()) {
+    if (order.size() != n) {
         throw std::runtime_error("Tdg::topological_order: graph has a cycle");
     }
     return order;

@@ -1,8 +1,8 @@
 // core::Engine session tests: delta re-solves matching cold deployments on
 // the testbed and a zoo WAN, batch/epoch semantics, rollback on infeasible
-// or invalid batches, merge memoization, the ladder's MILP and deadline
-// rungs, and a 200-event churn that stays verifier-clean and thread-count
-// deterministic.
+// or invalid batches, merge memoization, rejected delta candidates, the
+// ladder's MILP and deadline rungs, and a 200-event churn that stays
+// verifier-clean and thread-count deterministic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -286,6 +286,27 @@ TEST(Engine, ReAddedTenantIsMergedFromItsNewProgram) {
     }
     expect_verified(engine);
     EXPECT_EQ(engine.incumbent().placements.size(), want.node_count());
+}
+
+TEST(Engine, RejectedDeltaCandidateIsNotAViolation) {
+    // Under epsilon2 = 3, t1's delta candidate spills t1 onto a fourth
+    // switch (Q_occ 4); the verifier turns it down and the greedy rung
+    // serves a re-placement on three. The candidate was never served, so it
+    // ticks engine.rejected_candidates and leaves verify.violations at 0.
+    obs::Sink sink;
+    EngineOptions options;
+    options.sink = &sink;
+    options.epsilon2 = 3;
+    Engine engine(testbed(), options);
+    ASSERT_TRUE(engine.add_program(tenant(3, 0)).ok());
+    EXPECT_EQ(sink.counter("engine.rejected_candidates").value(), 0);
+
+    auto outcome = engine.add_program(tenant(3, 1));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    EXPECT_EQ(outcome.value().status, "replace");
+    EXPECT_EQ(sink.counter("engine.rejected_candidates").value(), 1);
+    EXPECT_EQ(sink.counter("verify.violations").value(), 0);
+    expect_verified(engine);
 }
 
 // ---- The ladder's last rungs: MILP escalation and the deadline. ----------

@@ -2,7 +2,15 @@
 // ε-tradeoff explorer, and incremental redeployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <queue>
+#include <stdexcept>
+#include <utility>
 
 #include "core/dp_split.h"
 #include "core/greedy.h"
@@ -14,6 +22,7 @@
 #include "prog/library.h"
 #include "prog/synthetic.h"
 #include "sim/testbed.h"
+#include "util/rng.h"
 
 namespace hermes::core {
 namespace {
@@ -119,6 +128,202 @@ TEST(DpSplit, SegmentsDeployAndVerify) {
     const GreedyResult deployed = deploy_segments_on_chain(t, n, r.segments, {});
     EXPECT_TRUE(verify(t, n, deployed.deployment).ok);
     EXPECT_EQ(max_inflight_metadata(t, n, deployed.deployment), r.max_cut_bytes);
+}
+
+// ---- dp_split against the re-packing DP it replaced ---------------------------
+//
+// The oracle is the DP as first written, self-contained: its own O(V·E)
+// Kahn order, its own boundary cuts, and its own naive first-fit re-pack of
+// every candidate interval, scanning ends in ascending order and starts
+// downward with a strict-< update. Its first-fit also checks the stages
+// assign_stages gives each segment.
+
+std::vector<NodeId> oracle_order(const tdg::Tdg& t) {
+    std::vector<std::size_t> in_degree(t.node_count(), 0);
+    for (const tdg::Edge& e : t.edges()) ++in_degree[e.to];
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
+    for (NodeId v = 0; v < t.node_count(); ++v) {
+        if (in_degree[v] == 0) ready.push(v);
+    }
+    std::vector<NodeId> order;
+    while (!ready.empty()) {
+        const NodeId v = ready.top();
+        ready.pop();
+        order.push_back(v);
+        for (const tdg::Edge& e : t.edges()) {
+            if (e.from == v && --in_degree[e.to] == 0) ready.push(e.to);
+        }
+    }
+    return order;
+}
+
+double oracle_total(const tdg::Tdg& t, const std::vector<NodeId>& interval) {
+    double total = 0.0;
+    for (const NodeId v : interval) total += t.node(v).resource_units();
+    return total;
+}
+
+// `interval` is in topological order: each node in the earliest stage after
+// its in-interval predecessors that has room. The stage per interval node,
+// or nullopt when some node fits no stage.
+std::optional<std::vector<int>> oracle_stages(const tdg::Tdg& t,
+                                              const std::vector<NodeId>& interval,
+                                              int stages, double capacity) {
+    std::map<NodeId, int> stage_of;
+    std::vector<double> load(static_cast<std::size_t>(stages), 0.0);
+    std::vector<int> result;
+    for (const NodeId v : interval) {
+        int earliest = 0;
+        for (const tdg::Edge& e : t.edges()) {
+            const auto it = stage_of.find(e.from);
+            if (e.to == v && it != stage_of.end()) {
+                earliest = std::max(earliest, it->second + 1);
+            }
+        }
+        const double need = t.node(v).resource_units();
+        if (need > capacity) return std::nullopt;
+        int chosen = -1;
+        for (int s = earliest; s < stages && chosen < 0; ++s) {
+            if (load[static_cast<std::size_t>(s)] + need <= capacity + 1e-9) chosen = s;
+        }
+        if (chosen < 0) return std::nullopt;
+        load[static_cast<std::size_t>(chosen)] += need;
+        stage_of[v] = chosen;
+        result.push_back(chosen);
+    }
+    return result;
+}
+
+// The aggregate test, then the stage packing.
+bool oracle_fits(const tdg::Tdg& t, const std::vector<NodeId>& interval, int stages,
+                 double capacity) {
+    if (oracle_total(t, interval) > stages * capacity + 1e-9) return false;
+    return oracle_stages(t, interval, stages, capacity).has_value();
+}
+
+DpSplitResult oracle_dp_split(const tdg::Tdg& t, int stages, double capacity) {
+    const std::vector<NodeId> order = oracle_order(t);
+    const std::size_t n = order.size();
+    DpSplitResult result;
+    if (n == 0) return result;
+    std::vector<std::size_t> pos(n);
+    for (std::size_t i = 0; i < n; ++i) pos[order[i]] = i;
+    std::vector<std::int64_t> cut(n + 1, 0);
+    for (std::size_t b = 1; b < n; ++b) {
+        for (const tdg::Edge& e : t.edges()) {
+            if (pos[e.from] < b && pos[e.to] >= b) cut[b] += e.metadata_bytes;
+        }
+    }
+
+    constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+    std::vector<std::int64_t> best(n + 1, kInf);
+    std::vector<std::size_t> parent(n + 1, 0);
+    best[0] = 0;
+    for (std::size_t i = 1; i <= n; ++i) {
+        std::vector<NodeId> interval;
+        for (std::size_t j = i; j-- > 0;) {
+            interval.insert(interval.begin(), order[j]);
+            if (best[j] == kInf) continue;
+            if (!oracle_fits(t, interval, stages, capacity)) {
+                if (oracle_total(t, interval) > stages * capacity + 1e-9) break;
+                continue;
+            }
+            const std::int64_t candidate = std::max(best[j], j == 0 ? 0 : cut[j]);
+            if (candidate < best[i]) {
+                best[i] = candidate;
+                parent[i] = j;
+            }
+        }
+    }
+    if (best[n] == kInf) throw std::runtime_error("oracle_dp_split: infeasible");
+    std::vector<std::size_t> boundaries;
+    for (std::size_t i = n; i > 0; i = parent[i]) boundaries.push_back(parent[i]);
+    std::reverse(boundaries.begin(), boundaries.end());
+    boundaries.push_back(n);
+    for (std::size_t k = 0; k + 1 < boundaries.size(); ++k) {
+        result.segments.emplace_back(
+            order.begin() + static_cast<std::ptrdiff_t>(boundaries[k]),
+            order.begin() + static_cast<std::ptrdiff_t>(boundaries[k + 1]));
+    }
+    result.max_cut_bytes = best[n];
+    return result;
+}
+
+struct RandomInstance {
+    tdg::Tdg t;
+    int stages = 1;
+    double capacity = 1.0;
+};
+
+// A seeded random TDG with shuffled node ids and edge insertion order, and a
+// switch geometry of 1-8 stages. Resources are sometimes whole fractions of
+// a stage, so loads land exactly on the capacity; about one instance in ten
+// carries a MAT larger than a stage.
+RandomInstance random_instance(util::SplitMix64& rng) {
+    RandomInstance r;
+    r.stages = static_cast<int>(rng.uniform_int(1, 8));
+    const std::vector<double> round_capacities{0.5, 1.0, 1.5, 4.0};
+    r.capacity = rng.chance(0.5) ? rng.pick(round_capacities) : rng.uniform_real(0.2, 4.0);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    const bool quantized = rng.chance(0.5);
+    std::vector<double> resource(n);
+    for (double& x : resource) {
+        x = quantized ? r.capacity * static_cast<double>(rng.uniform_int(1, 4)) / 4.0
+                      : rng.uniform_real(0.01, 1.0) * r.capacity;
+    }
+    if (rng.chance(0.1)) {
+        resource[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] =
+            r.capacity * rng.uniform_real(1.001, 2.0);
+    }
+    std::vector<std::size_t> id_of_rank(n);
+    std::iota(id_of_rank.begin(), id_of_rank.end(), std::size_t{0});
+    rng.shuffle(id_of_rank);
+    const double density = rng.uniform_real(0.0, 0.3);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = a + 1; b < n; ++b) {
+            if (rng.chance(density)) edges.emplace_back(id_of_rank[a], id_of_rank[b]);
+        }
+    }
+    rng.shuffle(edges);
+    for (std::size_t v = 0; v < n; ++v) r.t.add_node(mat("n" + std::to_string(v), resource[v]));
+    for (const auto& [from, to] : edges) {
+        r.t.add_edge(from, to, DepType::kMatch);
+        r.t.edges().back().metadata_bytes = static_cast<int>(rng.uniform_int(0, 12));
+    }
+    return r;
+}
+
+TEST(DpSplit, MatchesRepackingOracleOnRandomTdgs) {
+    util::SplitMix64 rng(0xD5);
+    int compared = 0;
+    int thrown = 0;
+    for (int instance = 0; instance < 3000; ++instance) {
+        const RandomInstance r = random_instance(rng);
+        std::optional<DpSplitResult> want;
+        try {
+            want = oracle_dp_split(r.t, r.stages, r.capacity);
+        } catch (const std::runtime_error&) {
+        }
+        if (!want) {
+            EXPECT_THROW((void)dp_split(r.t, r.stages, r.capacity), std::runtime_error)
+                << "instance " << instance;
+            ++thrown;
+            continue;
+        }
+        const DpSplitResult got = dp_split(r.t, r.stages, r.capacity);
+        EXPECT_EQ(got.segments, want->segments) << "instance " << instance;
+        EXPECT_EQ(got.max_cut_bytes, want->max_cut_bytes) << "instance " << instance;
+        // assign_stages packs through the same rule: same stage per node.
+        for (const std::vector<NodeId>& segment : want->segments) {
+            EXPECT_EQ(assign_stages(r.t, segment, r.stages, r.capacity),
+                      oracle_stages(r.t, segment, r.stages, r.capacity))
+                << "instance " << instance;
+        }
+        ++compared;
+    }
+    EXPECT_GE(compared, 2000);
+    EXPECT_GT(thrown, 0);
 }
 
 // ---- Tradeoff sweeps -----------------------------------------------------------

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "core/greedy.h"
+#include "core/hermes.h"
 #include "core/objective.h"
 #include "core/verifier.h"
 #include "net/builders.h"
+#include "obs/obs.h"
+#include "prog/synthetic.h"
 #include "sim/testbed.h"
 
 namespace hermes::core {
@@ -191,6 +194,42 @@ TEST(SelectSwitches, OrdersByProximityAndHonorsBounds) {
     const auto bounded = select_switches(n, 0, options);
     EXPECT_LT(bounded.size(), 5u);
     EXPECT_THROW((void)select_switches(n, 99, options), std::invalid_argument);
+}
+
+TEST(Greedy, DpRefinementIsTracedAndCounted) {
+    // Every greedy_deploy on at most 250 MATs runs the DP refinement once
+    // under a greedy.dp_split span; its segmentation is kept at most once.
+    obs::Sink sink;
+    GreedyOptions options;
+    options.sink = &sink;
+    (void)greedy_deploy(fig4_tdg(), fig4_network(), options);
+    sim::TestbedConfig config;
+    config.switch_count = 8;
+    config.stages = 8;
+    const net::Network wan = sim::make_testbed(config);
+    for (const std::uint64_t seed : {3u, 7u, 11u}) {
+        const tdg::Tdg t = analyze({prog::synthetic_program({}, seed, 0),
+                                    prog::synthetic_program({}, seed, 1)});
+        ASSERT_LE(t.node_count(), 250u);
+        (void)greedy_deploy(t, wan, options);
+    }
+    EXPECT_EQ(sink.counter("greedy.dp_refinements").value(), 4);
+    EXPECT_LE(sink.counter("greedy.dp_wins").value(),
+              sink.counter("greedy.dp_refinements").value());
+    std::size_t dp_spans = 0;
+    for (const obs::TraceEvent& e : sink.events()) {
+        if (std::string(e.name) == "greedy.dp_split") ++dp_spans;
+    }
+    EXPECT_EQ(dp_spans, 4u);
+
+    // Above 250 MATs the refinement does not run, and the counters say so.
+    obs::Sink large_sink;
+    options.sink = &large_sink;
+    tdg::Tdg large;
+    for (int i = 0; i < 260; ++i) large.add_node(mat("x" + std::to_string(i), 0.001));
+    (void)greedy_deploy(large, fig4_network(), options);
+    EXPECT_EQ(large_sink.counter("greedy.dp_refinements").value(), 0);
+    EXPECT_EQ(large_sink.counter("greedy.dp_wins").value(), 0);
 }
 
 TEST(Greedy, DeterministicAcrossRuns) {

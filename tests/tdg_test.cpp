@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "tdg/tdg.h"
+#include "util/rng.h"
 
 namespace hermes::tdg {
 namespace {
@@ -92,6 +99,64 @@ TEST(Tdg, EmptyGraphIsDag) {
     const Tdg t;
     EXPECT_TRUE(t.is_dag());
     EXPECT_TRUE(t.topological_order().empty());
+}
+
+// The Kahn loop as first written: every pop rescans the whole edge list,
+// O(V·E). The oracle for the edge-indexed topological_order().
+std::vector<NodeId> rescanning_kahn(const Tdg& t) {
+    std::vector<std::size_t> in_degree(t.node_count(), 0);
+    for (const Edge& e : t.edges()) ++in_degree[e.to];
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> ready;
+    for (NodeId v = 0; v < t.node_count(); ++v) {
+        if (in_degree[v] == 0) ready.push(v);
+    }
+    std::vector<NodeId> order;
+    while (!ready.empty()) {
+        const NodeId v = ready.top();
+        ready.pop();
+        order.push_back(v);
+        for (const Edge& e : t.edges()) {
+            if (e.from == v && --in_degree[e.to] == 0) ready.push(e.to);
+        }
+    }
+    if (order.size() != t.node_count()) throw std::runtime_error("cycle");
+    return order;
+}
+
+// A seeded random DAG whose node ids are a shuffle of its ranks (edges run
+// from lower to higher rank) and whose edges are inserted in shuffled order.
+Tdg random_dag(util::SplitMix64& rng) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
+    std::vector<std::size_t> id_of_rank(n);
+    for (std::size_t r = 0; r < n; ++r) id_of_rank[r] = r;
+    rng.shuffle(id_of_rank);
+    const double density = rng.uniform_real(0.0, 0.3);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = a + 1; b < n; ++b) {
+            if (rng.chance(density)) edges.emplace_back(id_of_rank[a], id_of_rank[b]);
+        }
+    }
+    rng.shuffle(edges);
+    Tdg t;
+    for (std::size_t v = 0; v < n; ++v) t.add_node(mat("n" + std::to_string(v)));
+    for (const auto& [from, to] : edges) t.add_edge(from, to, DepType::kMatch);
+    return t;
+}
+
+TEST(Tdg, TopologicalOrderMatchesRescanningKahnOnRandomDags) {
+    util::SplitMix64 rng(0x70D0);
+    for (int instance = 0; instance < 500; ++instance) {
+        Tdg t = random_dag(rng);
+        ASSERT_EQ(t.topological_order(), rescanning_kahn(t)) << "instance " << instance;
+        if (t.edge_count() == 0) continue;
+        // The reverse of an existing edge closes a cycle: both must refuse.
+        const Edge e = t.edges()[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(t.edge_count()) - 1))];
+        t.add_edge(e.to, e.from, DepType::kMatch);
+        EXPECT_THROW((void)rescanning_kahn(t), std::runtime_error);
+        EXPECT_THROW((void)t.topological_order(), std::runtime_error) << "instance " << instance;
+    }
 }
 
 TEST(Tdg, TotalResourceUnits) {
