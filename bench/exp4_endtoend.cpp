@@ -27,8 +27,7 @@ int main() {
     util::Table fct({"topology", "Hermes", "Optimal", "MS", "Sonata", "SPEED", "MTP",
                      "FP", "P4All", "FFL", "FFLS"});
     util::Table goodput = fct;
-    util::Table load({"solution", "1-flow FCT(ms)", "64-flow makespan(ms)",
-                      "events", "window syncs"});
+    util::Table load({"solution", "1-flow FCT(ms)", "64-flow makespan(ms)", "events"});
     for (const int id : {3, 6, 9}) {
         const auto programs = prog::paper_workload(50, 0xbeef + id);
         const net::Network n = net::table3_topology(id);
@@ -42,9 +41,7 @@ int main() {
                 sim::FlowSpec spec = flow;
                 spec.overhead_bytes =
                     static_cast<int>(row.metrics.max_inflight_metadata_bytes);
-                sim::EngineConfig engine_config;
-                engine_config.threads = 2;
-                sim::Engine engine(engine_config);
+                sim::Engine engine;
                 const sim::RouteId route = engine.add_route(row.hops);
                 for (int i = 0; i < 64; ++i) {
                     (void)engine.add_flow(spec, route, 50.0 * i);
@@ -52,8 +49,7 @@ int main() {
                 engine.run();
                 load.add_row({row.name, util::Table::num(row.fct_us / 1e3, 1),
                               util::Table::num(engine.stats().horizon_us / 1e3, 1),
-                              util::Table::num(engine.stats().events),
-                              util::Table::num(engine.stats().window_syncs)});
+                              util::Table::num(engine.stats().events)});
             }
         }
         std::vector<std::string> fct_cells{util::Table::num(std::int64_t{id})};

@@ -1,13 +1,11 @@
-// Microbenchmarks for the sharded traffic engine: single-flow adapter
-// throughput, arena/heap churn, and contended WAN runs. Has a custom main:
-// after the google-benchmark suites it writes a BENCH_sim.json
-// perf-trajectory summary — a million-flow run over the largest Table III
-// WAN with events/sec, flows/sec, fast-path hit rate, a worker-thread
-// ladder whose FCTs are asserted bit-identical to the single-thread run,
-// and a shard-count sweep (pass --sweep-only to skip the google-benchmark
-// portion, --smoke for a short CI check that exits nonzero when results
-// diverge across thread counts). Accepts the common tool flags
-// --threads/--seed and the obs exports --trace-out/--metrics-out
+// Microbenchmarks for the traffic engine: single-flow adapter throughput,
+// arena/heap churn, and contended WAN runs. Has a custom main: after the
+// google-benchmark suites it writes a BENCH_sim.json perf-trajectory
+// summary — a million-flow run over the largest Table III WAN with
+// events/sec, flows/sec and the fast-path hit rate (pass --sweep-only to
+// skip the google-benchmark portion, --smoke for a short CI check that
+// exits nonzero when two runs of one workload differ). Reads --seed and the
+// obs exports --trace-out/--metrics-out from the common tool flags
 // (bench_util.h); unknown flags other than --benchmark_* exit 2.
 #include <benchmark/benchmark.h>
 
@@ -65,12 +63,9 @@ Workload make_workload(std::int64_t shared, std::int64_t grouped,
 constexpr std::int64_t kGroupFlows = 196;
 constexpr std::int64_t kGroupHead = 156;
 
-std::vector<double> run_workload(const Workload& w, int threads, int shards,
-                                 sim::EngineStats* stats_out,
+std::vector<double> run_workload(const Workload& w, sim::EngineStats* stats_out,
                                  obs::Sink* sink = nullptr) {
     sim::EngineConfig config;
-    config.threads = threads;
-    config.shards = shards;
     config.sink = sink;
     sim::Engine engine(config);
     sim::PathInterner interner;
@@ -161,7 +156,7 @@ void BM_ContendedWan(benchmark::State& state) {
     const Workload w = make_workload(flows, 0, 0, 64, 0x7e23);
     sim::EngineStats stats;
     for (auto _ : state) {
-        const auto fct = run_workload(w, 1, 0, &stats);
+        const auto fct = run_workload(w, &stats);
         benchmark::DoNotOptimize(fct.data());
     }
     state.counters["events"] = static_cast<double>(stats.events);
@@ -175,11 +170,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 // The BENCH_sim.json trajectory: one million flows (850k contended over 512
 // interned WAN routes + 100k in paced group trains + 50k on private
-// fast-path routes) across a worker ladder, with the single-thread FCT
-// vector as the bit-identity baseline, plus a shard-count sweep at fixed
-// threads. Returns nonzero when any multi-thread run diverges from the
-// single-thread results.
-int run_sweeps(const std::string& path, std::uint64_t seed) {
+// fast-path routes) through one run.
+int write_trajectory(const std::string& path, std::uint64_t seed) {
     std::vector<bench::BenchRecord> records;
     records.push_back({"machine_hardware_concurrency",
                        static_cast<double>(std::thread::hardware_concurrency()),
@@ -190,79 +182,36 @@ int run_sweeps(const std::string& path, std::uint64_t seed) {
         {"wan_nodes", static_cast<double>(net::table3_shape(topo).nodes), "nodes"});
 
     const Workload w = make_workload(850000, 100000, 50000, 512, seed);
-    int failures = 0;
-    std::vector<double> baseline;
-    double threads1_secs = 0.0;
-    double best_multi_secs = 1e18;
-    for (const int threads : {1, 2, 4, 8}) {
-        sim::EngineStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        const std::vector<double> fct = run_workload(w, threads, 0, &stats);
-        const double secs = seconds_since(start);
-        const std::string tag = "flows1m_threads" + std::to_string(threads);
-        records.push_back({tag + "_seconds", secs, "s"});
-        records.push_back(
-            {tag + "_events_per_sec", static_cast<double>(stats.events) / secs, "ev/s"});
-        records.push_back(
-            {tag + "_flows_per_sec", static_cast<double>(stats.flows) / secs, "fl/s"});
-        std::cout << tag << ": " << secs << " s, " << stats.events << " events, "
-                  << stats.shards << " shards, " << stats.window_syncs
-                  << " windows\n";
-        if (threads == 1) {
-            threads1_secs = secs;
-            baseline = fct;
-            records.push_back({"flows1m_flows", static_cast<double>(stats.flows),
-                               "flows"});
-            records.push_back({"flows1m_packets", static_cast<double>(stats.packets),
-                               "packets"});
-            records.push_back({"flows1m_events", static_cast<double>(stats.events),
-                               "events"});
-            records.push_back({"flows1m_fastpath_rate",
-                               static_cast<double>(stats.fastpath_flows) /
-                                   static_cast<double>(stats.flows),
-                               "ratio"});
-            records.push_back({"flows1m_fastpath_serialized",
-                               static_cast<double>(stats.fastpath_serialized),
-                               "flows"});
-        } else {
-            best_multi_secs = std::min(best_multi_secs, secs);
-            if (fct != baseline) {
-                std::cout << "FAIL: threads=" << threads
-                          << " FCTs diverge from the single-thread run\n";
-                ++failures;
-            }
-        }
-    }
-    records.push_back({"flows1m_thread_speedup", threads1_secs / best_multi_secs, "x"});
-    records.push_back({"flows1m_deterministic", failures == 0 ? 1.0 : 0.0, "bool"});
-
-    // Shard-count sweep at two workers: more shards = smaller windows but
-    // better balance; results must stay bit-identical throughout.
-    const Workload small = make_workload(80000, 10000, 10000, 256, seed);
-    const std::vector<double> shard_baseline = run_workload(small, 1, 1, nullptr);
-    for (const int shards : {2, 8, 32}) {
-        sim::EngineStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        const std::vector<double> fct = run_workload(small, 2, shards, &stats);
-        const double secs = seconds_since(start);
-        records.push_back({"flows100k_shards" + std::to_string(shards) + "_seconds",
-                           secs, "s"});
-        std::cout << "flows100k shards=" << shards << ": " << secs << " s, "
-                  << stats.window_syncs << " windows\n";
-        if (fct != shard_baseline) {
-            std::cout << "FAIL: shards=" << shards << " FCTs diverge\n";
-            ++failures;
-        }
-    }
+    sim::EngineStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    (void)run_workload(w, &stats);
+    const double secs = seconds_since(start);
+    std::cout << "flows1m: " << secs << " s, " << stats.events << " events\n";
+    // The threads1 names keep the trajectory continuous with the records
+    // taken when the engine also ran multi-threaded.
+    records.push_back({"flows1m_threads1_seconds", secs, "s"});
+    records.push_back({"flows1m_threads1_events_per_sec",
+                       static_cast<double>(stats.events) / secs, "ev/s"});
+    records.push_back({"flows1m_threads1_flows_per_sec",
+                       static_cast<double>(stats.flows) / secs, "fl/s"});
+    records.push_back({"flows1m_flows", static_cast<double>(stats.flows), "flows"});
+    records.push_back({"flows1m_packets", static_cast<double>(stats.packets), "packets"});
+    records.push_back({"flows1m_events", static_cast<double>(stats.events), "events"});
+    records.push_back({"flows1m_fastpath_rate",
+                       static_cast<double>(stats.fastpath_flows) /
+                           static_cast<double>(stats.flows),
+                       "ratio"});
+    records.push_back({"flows1m_fastpath_serialized",
+                       static_cast<double>(stats.fastpath_serialized), "flows"});
 
     bench::write_bench_json(path, "traffic_engine", records);
     std::cout << "wrote " << path << "\n";
-    return failures == 0 ? 0 : 1;
+    return 0;
 }
 
-// CI smoke: a 20k-flow run compared bit-for-bit across two thread counts,
-// recorded through an obs::Sink so the CI job can jq-assert the sim.*
-// counters; exits nonzero on divergence or a failed export.
+// CI smoke: a 20k-flow run repeated and compared bit for bit, the second
+// time through an obs::Sink so the CI job can jq-assert the sim.* counters;
+// exits nonzero on divergence, a degenerate run or a failed export.
 int run_smoke(const bench::ToolArgs& args) {
     int failures = 0;
     std::optional<obs::Sink> sink_storage;
@@ -273,17 +222,14 @@ int run_smoke(const bench::ToolArgs& args) {
     }
     const Workload w =
         make_workload(16000, 2000, 2000, 128, args.seed.value_or(0x7e23));
-    const std::vector<double> one = run_workload(w, 1, 0, nullptr);
+    const std::vector<double> first = run_workload(w, nullptr);
     sim::EngineStats stats;
-    const int threads = args.threads.value_or(2);
-    const std::vector<double> multi = run_workload(w, threads, 0, &stats, sink);
+    const std::vector<double> second = run_workload(w, &stats, sink);
     std::cout << "smoke: " << stats.flows << " flows, " << stats.events
               << " events, " << stats.fastpath_flows << " fast-path ("
-              << stats.fastpath_serialized << " serialized), " << stats.shards
-              << " shards, " << stats.window_syncs << " windows\n";
-    if (multi != one) {
-        std::cout << "FAIL: threads=" << threads
-                  << " FCTs diverge from the single-thread run\n";
+              << stats.fastpath_serialized << " serialized)\n";
+    if (second != first) {
+        std::cout << "FAIL: two runs of one workload gave different FCTs\n";
         ++failures;
     }
     if (stats.events <= 0 || stats.fastpath_flows <= 0) {
@@ -296,7 +242,7 @@ int run_smoke(const bench::ToolArgs& args) {
         ++failures;
     }
     if (sink != nullptr) {
-        sink->counter("sim.smoke_deterministic").add(failures == 0 ? 1 : 0);
+        sink->counter("sim.smoke_deterministic").add(second == first ? 1 : 0);
     }
     if (!bench::write_obs_exports(sink, args.trace_out, args.metrics_out)) ++failures;
     std::cout << (failures == 0 ? "smoke OK\n" : "smoke FAILED\n");
@@ -312,5 +258,5 @@ int main(int argc, char** argv) {
     std::vector<char*> passthrough = args.passthrough;
     benchmark::Initialize(&pass_argc, passthrough.data());
     if (!args.sweep_only) benchmark::RunSpecifiedBenchmarks();
-    return run_sweeps(args.json_path, args.seed.value_or(0x7e23));
+    return write_trajectory(args.json_path, args.seed.value_or(0x7e23));
 }

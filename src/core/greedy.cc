@@ -378,12 +378,8 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
         return c;
     };
 
-    int threads = options.threads;
-    if (threads <= 0) {
-        threads = static_cast<int>(std::thread::hardware_concurrency());
-        if (threads <= 0) threads = 1;
-    }
-    threads = std::min<int>(threads, static_cast<int>(programmable.size()));
+    const int threads =
+        std::min<int>(options.resolved_threads(), static_cast<int>(programmable.size()));
 
     // An active deadline token truncates the anchor scan to the best chain
     // found so far (trading the full deterministic sweep for a prompt exit);

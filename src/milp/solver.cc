@@ -121,10 +121,7 @@ public:
         }
         open_.push_back(Node{});  // root: no bound changes, cold LP
 
-        int threads = options_.threads;
-        if (threads <= 0) {
-            threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-        }
+        const int threads = options_.resolved_threads();
         {
             std::vector<std::jthread> pool;
             pool.reserve(static_cast<std::size_t>(threads - 1));

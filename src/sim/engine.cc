@@ -1,23 +1,12 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <string>
-#include <thread>
 
 #include "obs/obs.h"
 
 namespace hermes::sim {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 Engine::Engine(const EngineConfig& config) : config_(config) {
     if (config_.link_bandwidth_gbps <= 0.0) {
@@ -89,92 +78,6 @@ FlowId Engine::add_flow(const FlowSpec& spec, RouteId route, double start_us) {
     stats_.packets += flow.packets;
     flows_.push_back(flow);
     return static_cast<FlowId>(flows_.size() - 1);
-}
-
-void Engine::partition_links(int shard_count) {
-    // Union-find over links: consecutive hop pairs with zero inter-hop delay
-    // must share a shard, or the conservative lookahead would be zero.
-    std::vector<std::uint32_t> parent(links_.size());
-    std::iota(parent.begin(), parent.end(), 0u);
-    const auto find = [&](std::uint32_t x) {
-        while (parent[x] != x) x = parent[x] = parent[parent[x]];
-        return x;
-    };
-    for (const auto& [offset, len] : routes_) {
-        for (std::uint32_t i = 0; i + 1 < len; ++i) {
-            const std::uint32_t a = route_links_[offset + i];
-            const std::uint32_t b = route_links_[offset + i + 1];
-            const double delay =
-                links_[a].propagation_us + links_[a].switch_latency_us;
-            if (delay <= 0.0) parent[std::max(find(a), find(b))] = std::min(find(a), find(b));
-        }
-    }
-    // Components weighted by route occupancy, placed heaviest-first onto the
-    // lightest shard — deterministic for a fixed link/route admission order.
-    struct Component {
-        std::uint32_t root = 0;
-        std::uint64_t weight = 0;
-    };
-    std::vector<Component> components;
-    std::vector<std::uint32_t> component_of(links_.size(), 0xffffffffu);
-    for (std::uint32_t l = 0; l < links_.size(); ++l) {
-        const std::uint32_t root = find(l);
-        if (component_of[root] == 0xffffffffu) {
-            component_of[root] = static_cast<std::uint32_t>(components.size());
-            components.push_back({root, 0});
-        }
-        components[component_of[root]].weight += links_[l].pending_flows + 1;
-    }
-    const int effective = std::max(
-        1, std::min<int>(shard_count, static_cast<int>(std::max<std::size_t>(
-                                          1, components.size()))));
-    std::sort(components.begin(), components.end(),
-              [](const Component& a, const Component& b) {
-                  if (a.weight != b.weight) return a.weight > b.weight;
-                  return a.root < b.root;
-              });
-    std::vector<std::uint64_t> shard_weight(static_cast<std::size_t>(effective), 0);
-    std::vector<std::uint32_t> shard_of_root(links_.size(), 0);
-    for (const Component& c : components) {
-        std::uint32_t best = 0;
-        for (std::uint32_t s = 1; s < shard_weight.size(); ++s) {
-            if (shard_weight[s] < shard_weight[best]) best = s;
-        }
-        shard_weight[best] += c.weight;
-        shard_of_root[c.root] = best;
-    }
-    for (std::uint32_t l = 0; l < links_.size(); ++l) {
-        links_[l].shard = shard_of_root[find(l)];
-    }
-
-    shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(effective));
-    for (int s = 0; s < effective; ++s) {
-        shards_.emplace_back(static_cast<std::uint32_t>(s),
-                             static_cast<std::uint32_t>(effective),
-                             config_.max_events_per_shard);
-    }
-    stats_.shards = effective;
-}
-
-void Engine::compute_lookahead() {
-    // Conservative lookahead: the smallest delay of any cross-shard hop
-    // transition a live (event-carrying) flow can make. Routes whose flows
-    // were all delivered analytically at admission never produce an event,
-    // so they must not shrink the window bound. Infinite when nothing
-    // crosses shards: every shard then runs to completion in one window.
-    lookahead_us_ = kInf;
-    for (const FlowState& flow : flows_) {
-        if (flow.fastpath || flow.packets == 0 || flow.route_len == 0) continue;
-        for (std::uint32_t i = 0; i + 1 < flow.route_len; ++i) {
-            const LinkState& a = links_[route_links_[flow.route_offset + i]];
-            const LinkState& b = links_[route_links_[flow.route_offset + i + 1]];
-            if (a.shard == b.shard) continue;
-            lookahead_us_ =
-                std::min(lookahead_us_, a.propagation_us + a.switch_latency_us);
-        }
-    }
-    stats_.lookahead_us = lookahead_us_;
 }
 
 void Engine::fastpath_admission() {
@@ -371,107 +274,18 @@ void Engine::fastpath_admission() {
         rejected.push_back(id);
     }
     // Heap pop order is fully determined by (time, flow, hop, batch), so the
-    // injection order cannot change results; id order keeps the per-shard
-    // event pools filling exactly as they did before this pass existed.
+    // injection order cannot change results; id order keeps the event pool
+    // filling exactly as it did before this pass existed.
     std::sort(rejected.begin(), rejected.end());
     for (const FlowId id : rejected) inject(id);
 }
 
 void Engine::inject(FlowId id) {
     const FlowState& flow = flows_[id];
-    Shard& shard = shards_[links_[route_links_[flow.route_offset]].shard];
     if (flow.packets > 1) {
-        shard.schedule(BatchEvent{flow.start_us, id, 0, 0, flow.packets - 1});
+        loop_.schedule(BatchEvent{flow.start_us, id, 0, 0, flow.packets - 1});
     }
-    shard.schedule(BatchEvent{flow.start_us, id, 0, flow.packets - 1, 1});
-}
-
-double Engine::next_event_time() const noexcept {
-    double next = kInf;
-    for (const Shard& shard : shards_) {
-        if (!shard.idle()) next = std::min(next, shard.next_time_us());
-    }
-    return next;
-}
-
-void Engine::sync_mailboxes() {
-    for (Shard& src : shards_) {
-        auto& outboxes = src.outboxes();
-        for (std::uint32_t dst = 0; dst < outboxes.size(); ++dst) {
-            for (const BatchEvent& event : outboxes[dst]) {
-                shards_[dst].schedule(event);
-            }
-            outboxes[dst].clear();
-        }
-    }
-}
-
-void Engine::run_windows(int workers) {
-    obs::Sink* const sink = config_.sink;
-    const ShardEnv env{links_.data(), flows_.data(), route_links_.data(),
-                       config_.link_bandwidth_gbps * 1e3, config_.enable_fastpath};
-    const auto run_shard = [&](Shard& shard, double end_us) {
-        if (shard.idle() || shard.next_time_us() >= end_us) return;
-        if (sink != nullptr) {
-            const std::int64_t t0 = obs::now_ns();
-            obs::Span span(sink, "sim.window");
-            shard.run_window(env, end_us);
-            span.end();
-            shard.busy_ns += obs::now_ns() - t0;
-        } else {
-            shard.run_window(env, end_us);
-        }
-    };
-
-    if (workers <= 1 || shards_.size() <= 1) {
-        for (;;) {
-            const double next = next_event_time();
-            if (next == kInf) break;
-            const double end = lookahead_us_ == kInf ? kInf : next + lookahead_us_;
-            for (Shard& shard : shards_) run_shard(shard, end);
-            sync_mailboxes();
-            ++stats_.window_syncs;
-        }
-        return;
-    }
-
-    const auto count = static_cast<std::uint32_t>(
-        std::min<std::size_t>(static_cast<std::size_t>(workers), shards_.size()));
-    std::atomic<bool> done{false};
-    double window_end = 0.0;  // written by the coordinator before each window
-    std::barrier start_barrier(count + 1), end_barrier(count + 1);
-    {
-        std::vector<std::jthread> pool;
-        pool.reserve(count);
-        for (std::uint32_t w = 0; w < count; ++w) {
-            pool.emplace_back([&, w] {
-                if (sink != nullptr) {
-                    sink->name_thread("sim.worker" + std::to_string(w));
-                }
-                for (;;) {
-                    start_barrier.arrive_and_wait();
-                    if (done.load(std::memory_order_relaxed)) return;
-                    for (std::size_t s = w; s < shards_.size(); s += count) {
-                        run_shard(shards_[s], window_end);
-                    }
-                    end_barrier.arrive_and_wait();
-                }
-            });
-        }
-        for (;;) {
-            const double next = next_event_time();
-            if (next == kInf) {
-                done.store(true, std::memory_order_relaxed);
-                start_barrier.arrive_and_wait();
-                break;
-            }
-            window_end = lookahead_us_ == kInf ? kInf : next + lookahead_us_;
-            start_barrier.arrive_and_wait();
-            end_barrier.arrive_and_wait();
-            sync_mailboxes();
-            ++stats_.window_syncs;
-        }
-    }  // jthread joins here: obs flushes after this are safe
+    loop_.schedule(BatchEvent{flow.start_us, id, 0, flow.packets - 1, 1});
 }
 
 void Engine::run() {
@@ -480,22 +294,19 @@ void Engine::run() {
     obs::Sink* const sink = config_.sink;
     const std::int64_t wall_start = sink != nullptr ? obs::now_ns() : 0;
 
-    int workers = config_.threads;
-    if (workers <= 0) {
-        workers = static_cast<int>(std::thread::hardware_concurrency());
-        if (workers <= 0) workers = 1;
-    }
-    const int shard_count = config_.shards > 0 ? config_.shards : workers;
-    partition_links(shard_count);
     fastpath_admission();
-    compute_lookahead();
-    run_windows(workers);
+    const ShardEnv env{links_.data(), flows_.data(), route_links_.data(),
+                       config_.link_bandwidth_gbps * 1e3, config_.enable_fastpath};
+    const std::int64_t loop_start = sink != nullptr ? obs::now_ns() : 0;
+    {
+        obs::Span span(sink, "sim.event_loop");
+        loop_.run(env);
+    }
+    const std::int64_t loop_ns = sink != nullptr ? obs::now_ns() - loop_start : 0;
 
     stats_.flows = static_cast<std::int64_t>(flows_.size());
-    stats_.events = 0;
-    stats_.fastpath_flows = 0;
+    stats_.events = loop_.events();
     double horizon = 0.0;
-    for (const Shard& shard : shards_) stats_.events += shard.events();
     for (const FlowState& flow : flows_) {
         if (flow.received != flow.packets) {
             throw std::logic_error("sim::Engine: packets lost in simulation");
@@ -511,17 +322,15 @@ void Engine::run() {
         sink->counter("sim.events").add(stats_.events);
         sink->counter("sim.fastpath_flows").add(stats_.fastpath_flows);
         sink->counter("sim.fastpath_serialized").add(stats_.fastpath_serialized);
-        sink->counter("sim.window_syncs").add(stats_.window_syncs);
         obs::Histogram& fct =
             sink->histogram("sim.fct_us", obs::geometric_bounds(1.0, 4.0, 16));
         for (const FlowState& flow : flows_) {
             fct.observe(flow.completion_us - flow.start_us);
         }
-        for (const Shard& shard : shards_) {
-            const std::int64_t idle = std::max<std::int64_t>(0, wall_ns - shard.busy_ns);
-            sink->counter("sim.shard" + std::to_string(shard.id()) + ".idle_ns")
-                .add(idle);
-        }
+        // The layered benchmark reads the time outside the loop under this
+        // name.
+        sink->counter("sim.shard0.idle_ns")
+            .add(std::max<std::int64_t>(0, wall_ns - loop_ns));
     }
 }
 

@@ -1,26 +1,10 @@
-// Network-wide parallel discrete-event traffic engine.
+// Network-wide discrete-event traffic engine.
 //
 // Admits many concurrent flows, models per-link FIFO transmission contention
-// between them, and scales three ways:
+// between them, and runs them to completion on the caller's thread in two
+// steps:
 //
-//  1. Switch-domain sharding (conservative lookahead). Links are partitioned
-//     into shards; each shard runs its own event loop on its own thread
-//     inside conflict-free time windows. The window bound is
-//     `min pending event time + lookahead`, where the lookahead is the
-//     smallest propagation + switch latency of any consecutive hop pair an
-//     event-carrying flow crosses between shards (flows delivered by the
-//     admission fast path never produce events, so their routes don't
-//     shrink the bound) — a batch finishing transmission during a window
-//     cannot reach another shard before the bound, so shards never see an
-//     event from their past. Hop pairs with zero delay are merged into one shard
-//     (union-find) so the lookahead is always positive; when no route
-//     crosses shards the lookahead is infinite and every shard runs to
-//     completion in a single window.
-//
-//  2. Flat arena-allocated pools and a d-ary heap per shard (arena.h,
-//     events.h, shard.h): no per-event allocation, no closures.
-//
-//  3. A flow-level fast path. At admission, flows are processed in start
+//  1. A flow-level fast path. At admission, flows are processed in start
 //     order and a flow whose use of every route link is *time-serialized*
 //     against every other flow's — earlier flows provably past the link
 //     before it arrives, later flows provably unable to reach the link
@@ -32,20 +16,17 @@
 //     degenerate case; shared links qualify whenever the sharing is
 //     temporally disjoint. A flow that fails the criterion is injected and
 //     permanently taints its links against later analytic admissions.
-//     During the run, a batch whose remaining links are all shard-local and
-//     carry no other event-borne flow fast-forwards to delivery in one step
-//     (shard.h). Batched packetization (two batches per flow: the
+//
+//  2. One event loop (shard.h) over a flat arena-allocated pool and a d-ary
+//     heap: no per-event allocation, no closures. During the run, a batch
+//     whose remaining links carry no other event-borne flow fast-forwards to
+//     delivery in one step. Batched packetization (two batches per flow: the
 //     full-packet train and the final short packet) makes back-to-back
 //     line-rate trains O(1) events per hop.
 //
-// Determinism: results are bit-identical at any shard/thread count. Each
-// link's transmitter is owned by one shard, events tie-break on
-// (time, flow, hop, batch), the admission pass runs single-threaded before
-// sharding starts, and the in-run fast-forward only fires when no competing
-// event-borne flow exists, so every link observes the same arrival sequence
-// regardless of how the loops are scheduled. Diagnostics (event counts,
-// fast-path hit rate, window count) DO vary with the shard count;
-// timestamps never do.
+// Determinism: events tie-break on (time, flow, hop, batch), so a run's
+// results do not depend on the order flows were injected in, and the
+// in-run fast-forward only fires when no competing event-borne flow exists.
 #pragma once
 
 #include <cstdint>
@@ -63,39 +44,33 @@ using FlowId = std::uint32_t;
 
 struct EngineConfig {
     double link_bandwidth_gbps = 100.0;  // shared line rate, as in SimConfig
-    // Worker threads for the sharded loop; <= 1 runs every shard inline on
-    // the caller's thread. 0 picks std::thread::hardware_concurrency().
+    // Ignored: the engine runs on the caller's thread. Kept only because the
+    // layered benchmark (layerbench/) still sets it; the next change to that
+    // benchmark removes it.
     int threads = 1;
-    // Link shards; 0 = one shard per worker thread. Clamped to the link
-    // count. The shard count changes scheduling and diagnostics, never
-    // results.
-    int shards = 0;
     // Disables both fast paths (admission-time analytic flows and in-run
     // batch fast-forwarding); every flow then travels the per-batch event
     // path. For tests and for measuring the fast path's worth.
     bool enable_fastpath = true;
-    // Cap on each shard's live event-pool slots (0 = unbounded); exhaustion
-    // throws std::runtime_error from run().
-    std::size_t max_events_per_shard = 0;
     // Non-null: the run records sim.flows / sim.events / sim.fastpath_flows
-    // / sim.fastpath_serialized / sim.window_syncs counters, a sim.fct_us
-    // histogram, per-shard
-    // sim.shard<k>.idle_ns counters, and one sim.window span per shard per
-    // window on the worker lanes.
+    // / sim.fastpath_serialized counters, a sim.fct_us histogram, one
+    // sim.event_loop span, and sim.shard0.idle_ns: the run's wall time
+    // outside the event loop (admission and reporting).
     obs::Sink* sink = nullptr;
 };
 
 struct EngineStats {
     std::int64_t flows = 0;
     std::int64_t packets = 0;          // total packets across all flows
-    std::int64_t events = 0;           // batch events popped from the heaps
+    std::int64_t events = 0;           // batch events popped from the heap
     std::int64_t fastpath_flows = 0;   // flows delivered analytically
     // Analytic admissions whose route shares at least one link with another
     // flow (time-serialized reuse, not exclusive ownership).
     std::int64_t fastpath_serialized = 0;
-    std::int64_t window_syncs = 0;     // barrier synchronizations
-    int shards = 0;
-    double lookahead_us = 0.0;         // conservative window bound (inf = one window)
+    // Always 0 and 1: there is one event loop and no window. Kept, like
+    // EngineConfig::threads, only for the layered benchmark.
+    std::int64_t window_syncs = 0;
+    int shards = 1;
     double horizon_us = 0.0;           // latest delivery instant
 };
 
@@ -133,21 +108,15 @@ public:
     [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
 
 private:
-    void partition_links(int shard_count);
     void fastpath_admission();
-    void compute_lookahead();
     void inject(FlowId flow);
-    void sync_mailboxes();
-    void run_windows(int workers);
-    [[nodiscard]] double next_event_time() const noexcept;
 
     EngineConfig config_;
     std::vector<LinkState> links_;
     std::vector<std::uint32_t> route_links_;  // flat route → link ids
     std::vector<std::pair<std::uint32_t, std::uint32_t>> routes_;  // offset, len
     std::vector<FlowState> flows_;
-    std::vector<Shard> shards_;
-    double lookahead_us_ = 0.0;
+    Shard loop_;
     EngineStats stats_;
     bool ran_ = false;
 };

@@ -42,7 +42,6 @@ FlowResult simulate_flow(const std::vector<HopSpec>& hops, const FlowSpec& spec,
     obs::Span span(config.sink, "flowsim.flow");
     EngineConfig engine_config;
     engine_config.link_bandwidth_gbps = config.link_bandwidth_gbps;
-    engine_config.threads = 1;
     Engine engine(engine_config);
     const RouteId route = engine.add_route(hops);
     const FlowId flow = engine.add_flow(spec, route);

@@ -83,7 +83,6 @@ ReplayReport replay_failure_window(const tdg::Tdg& t, const net::Network& net,
         const auto hops = deployment_hops(t, net, after, oracle);
         EngineConfig engine_config;
         engine_config.link_bandwidth_gbps = config.sim.link_bandwidth_gbps;
-        engine_config.threads = config.sim_threads;
         engine_config.sink = sink;
         Engine engine(engine_config);
         const RouteId route = engine.add_route(hops);

@@ -26,9 +26,6 @@ struct ReplayConfig {
     FlowSpec flow{};                 // per-flow message shape (overhead_bytes is
                                      // overridden per deployment's A_max)
     SimConfig sim{};                 // link bandwidth + obs sink
-    // Worker threads for the post-repair traffic engine (sim::Engine);
-    // results are thread-count invariant, so this is purely a speed knob.
-    int sim_threads = 1;
 };
 
 struct ReplayReport {

@@ -1,16 +1,15 @@
 #include "sim/shard.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hermes::sim {
 
 namespace {
 
 // Heap tie-break: (flow, hop, runt) packed so simultaneous events pop in one
-// fixed order at any shard/thread count. The runt bit orders a flow's final
-// short packet behind its full-packet train at equal timestamps (injection
-// schedules both at the same instant).
+// fixed order. The runt bit orders a flow's final short packet behind its
+// full-packet train at equal timestamps (injection schedules both at the
+// same instant).
 std::uint64_t order_key(const BatchEvent& e, bool runt) noexcept {
     return (static_cast<std::uint64_t>(e.flow) << 18) |
            (static_cast<std::uint64_t>(e.hop & 0xffff) << 2) | (runt ? 1u : 0u);
@@ -22,14 +21,8 @@ bool is_runt(const BatchEvent& e, const FlowState& f) noexcept {
 
 }  // namespace
 
-Shard::Shard(std::uint32_t id, std::uint32_t shard_count, std::size_t max_events)
-    : id_(id), pool_(4096, max_events), outbox_(shard_count) {}
-
 void Shard::schedule(const BatchEvent& event) {
     const std::uint32_t slot = pool_.alloc();
-    if (slot == kArenaNull) {
-        throw std::runtime_error("sim::Shard: event pool exhausted (max_events cap)");
-    }
     pool_[slot] = event;
     // The runt bit only needs to order batches of the same flow at the same
     // hop; first==0 batches are the train, anything else the runt.
@@ -37,8 +30,8 @@ void Shard::schedule(const BatchEvent& event) {
                         slot});
 }
 
-void Shard::run_window(const ShardEnv& env, double end_us) {
-    while (!heap_.empty() && heap_.top().time_us < end_us) {
+void Shard::run(const ShardEnv& env) {
+    while (!heap_.empty()) {
         const EventKey key = heap_.pop();
         const BatchEvent event = pool_[key.payload];
         pool_.free(key.payload);
@@ -48,10 +41,11 @@ void Shard::run_window(const ShardEnv& env, double end_us) {
 }
 
 bool Shard::can_fastforward(const ShardEnv& env, const FlowState& flow,
-                            std::uint32_t from_hop) const noexcept {
+                            std::uint32_t from_hop) noexcept {
     for (std::uint32_t h = from_hop; h < flow.route_len; ++h) {
-        const LinkState& link = env.links[env.route_links[flow.route_offset + h]];
-        if (link.shard != id_ || link.pending_flows != 1) return false;
+        if (env.links[env.route_links[flow.route_offset + h]].pending_flows != 1) {
+            return false;
+        }
     }
     return true;
 }
@@ -77,37 +71,26 @@ void Shard::process(const ShardEnv& env, const BatchEvent& event) {
             const double delivered = link.free_at_us + depart;
             flow.received += event.count;
             if (delivered > flow.completion_us) flow.completion_us = delivered;
-            if (runt && inline_hops > 0) {
-                flow.fastpath = true;
-                ++fastpath_flows_;
-            }
+            if (runt && inline_hops > 0) flow.fastpath = true;
             return;
         }
         const double next_arrival = (start + tx) + depart;
         if (env.fastforward && event.first == 0 &&
             can_fastforward(env, flow, hop + 1)) {
-            // No other flow can reach any remaining link before us, and they
-            // are all shard-local: advance the batch analytically instead of
-            // bouncing it through the heap. Only the flow's leading batch
-            // (the train, or the sole batch of a one-packet flow) may do
-            // this: pending_flows counts flows, not batches, so a trailing
-            // runt would otherwise see pending == 1 and advance through
-            // links its own train still has queued events for, transmitting
-            // ahead of it.
+            // No other flow can reach any remaining link before us: advance
+            // the batch analytically instead of bouncing it through the
+            // heap. Only the flow's leading batch (the train, or the sole
+            // batch of a one-packet flow) may do this: pending_flows counts
+            // flows, not batches, so a trailing runt would otherwise see
+            // pending == 1 and advance through links its own train still
+            // has queued events for, transmitting ahead of it.
             ++hop;
             arrival = next_arrival;
             ++inline_hops;
             continue;
         }
-        const BatchEvent next{next_arrival, event.flow, hop + 1, event.first,
-                              event.count};
-        const std::uint32_t dest =
-            env.links[env.route_links[flow.route_offset + hop + 1]].shard;
-        if (dest == id_) {
-            schedule(next);
-        } else {
-            outbox_[dest].push_back(next);
-        }
+        schedule(BatchEvent{next_arrival, event.flow, hop + 1, event.first,
+                            event.count});
         return;
     }
 }

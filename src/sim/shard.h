@@ -1,22 +1,14 @@
-// One shard of the sharded traffic engine: the links it owns, their FIFO
-// transmitter state, an arena-pooled event heap, and outboxes toward every
-// other shard.
+// The traffic engine's event loop: the FIFO transmitter state of every link,
+// an arena-pooled event heap, and the per-batch physics.
 //
-// Ownership rules (these are what make the engine race-free without locks):
-//  - Every link belongs to exactly one shard. Only that shard's event loop
-//    reads or writes the link's transmitter (free_at_us) and pending count.
-//  - A shard's heap and event pool are touched only by the shard's worker
-//    thread during a window, and only by the coordinator between windows.
-//  - Cross-shard handoffs travel by value through `outbox[dst]`; the source
-//    appends during its window, the coordinator drains into the destination
-//    heap at the barrier. Conservative lookahead (engine.h) guarantees the
-//    handoff's timestamp is at or beyond the window bound, so no shard ever
-//    sees an event from its past.
+// One loop owns every link and runs on the caller's thread until its heap
+// drains. The engine once split links into shards with a loop each, run in
+// lockstep time windows; DESIGN.md §5h records why that was removed.
 //
 // Determinism: the heap key's tie-break packs (flow, hop, runt) — a total
-// order over simultaneous events that is independent of arrival order, so
-// any shard/thread count pops the same sequence and computes the same
-// timestamps bit for bit.
+// order over simultaneous events that is independent of injection order, so
+// a run pops one fixed sequence and computes the same timestamps bit for
+// bit.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +25,6 @@ struct LinkState {
     double propagation_us = 0.0;
     double switch_latency_us = 0.0;
     double free_at_us = 0.0;         // FIFO transmitter frees at this instant
-    std::uint32_t shard = 0;         // owning shard
     std::uint32_t pending_flows = 0; // route occurrences not yet fully past
 };
 
@@ -65,9 +56,8 @@ struct BatchEvent {
     std::int64_t count = 0;
 };
 
-// Read-mostly view of the engine state a shard loop needs. Flows and links
-// are written under the ownership rules above; everything else is immutable
-// during run().
+// The engine state the loop reads and writes; the engine keeps the vectors
+// behind these pointers fixed in size during run().
 struct ShardEnv {
     LinkState* links = nullptr;
     FlowState* flows = nullptr;
@@ -78,46 +68,26 @@ struct ShardEnv {
 
 class Shard {
 public:
-    Shard(std::uint32_t id, std::uint32_t shard_count, std::size_t max_events);
-
-    // Enqueues a batch into this shard's heap (pool-backed). Throws
-    // std::runtime_error when the configured event-pool cap is exhausted.
+    // Enqueues a batch into the heap (pool-backed).
     void schedule(const BatchEvent& event);
 
-    // Processes every event strictly before `end_us`, updating link and flow
-    // state and appending cross-shard handoffs to the outboxes.
-    void run_window(const ShardEnv& env, double end_us);
+    // Processes every pending event in (time, flow, hop, batch) order until
+    // the heap drains, updating link and flow state.
+    void run(const ShardEnv& env);
 
-    [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
-    // Time of the earliest pending event (call only when !idle()).
-    [[nodiscard]] double next_time_us() const noexcept { return heap_.top().time_us; }
-
-    [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
-    [[nodiscard]] std::vector<std::vector<BatchEvent>>& outboxes() noexcept {
-        return outbox_;
-    }
     [[nodiscard]] std::int64_t events() const noexcept { return events_; }
-    [[nodiscard]] std::int64_t fastpath_flows() const noexcept { return fastpath_flows_; }
-    [[nodiscard]] const ArenaStats& pool_stats() const noexcept { return pool_.stats(); }
-
-    // Busy-time accounting for shard.idle_ns (maintained by the engine; only
-    // touched when a sink is attached, so the hot loop reads no clock).
-    std::int64_t busy_ns = 0;
 
 private:
     void process(const ShardEnv& env, const BatchEvent& event);
-    // True when every link from `from_hop` to the end of the route is owned
-    // by this shard and carries no other flow — the in-run fast-forward
-    // condition (safe: nothing can arrive ahead of us on any of them).
-    [[nodiscard]] bool can_fastforward(const ShardEnv& env, const FlowState& flow,
-                                       std::uint32_t from_hop) const noexcept;
+    // True when every link from `from_hop` to the end of the route carries
+    // no other flow — the in-run fast-forward condition (safe: nothing can
+    // arrive ahead of us on any of them).
+    [[nodiscard]] static bool can_fastforward(const ShardEnv& env, const FlowState& flow,
+                                              std::uint32_t from_hop) noexcept;
 
-    std::uint32_t id_;
     EventHeap heap_;
-    Arena<BatchEvent> pool_;
-    std::vector<std::vector<BatchEvent>> outbox_;  // one per destination shard
+    Arena<BatchEvent> pool_{4096};
     std::int64_t events_ = 0;
-    std::int64_t fastpath_flows_ = 0;
 };
 
 }  // namespace hermes::sim

@@ -91,7 +91,7 @@ using namespace hermes;
                      [--trace-out <file>] [--metrics-out <file>]
                      [--fault-script <file>|random:<events>[:seed]]
                      [--repair-deadline <seconds>] [--repair-milp]
-                     [--sim-flows <n>] [--sim-threads <n>]
+                     [--sim-flows <n>]
   hermes_cli replay  (solve flags; --fault-script required)
   hermes_cli serve   (hermes_serve flags; see tools/hermes_serve.cpp)
 
@@ -114,10 +114,8 @@ strategies    : greedy (default) | optimal | ms | sonata | speed | mtp | fp
 --repair-milp : let a repair escalate to a MILP re-solve when the greedy
                 re-place fails to verify
 --sim-flows   : after deploying, push this many concurrent flows through the
-                deployment's route with the sharded traffic engine and
-                report FCT/goodput under contention (default 0 = off)
---sim-threads : worker threads for the traffic engine (default 1; results
-                are thread-count invariant)
+                deployment's route with the traffic engine and report
+                FCT/goodput under contention (default 0 = off)
 options also accept the --flag=value spelling
 )";
     std::exit(2);
@@ -188,7 +186,6 @@ struct Options {
     double repair_deadline = 0.0;  // seconds; 0 = unbounded repairs
     bool repair_milp = false;
     std::int64_t sim_flows = 0;  // 0 = no traffic simulation
-    int sim_threads = 1;
 };
 
 Options parse_options(const std::vector<std::string>& args, bool need_topology) {
@@ -229,8 +226,6 @@ Options parse_options(const std::vector<std::string>& args, bool need_topology) 
             options.repair_deadline = util::parse_double(value());
         } else if (flag == "--sim-flows") {
             options.sim_flows = util::parse_int(value());
-        } else if (flag == "--sim-threads") {
-            options.sim_threads = static_cast<int>(util::parse_int(value()));
         } else if (flag == "--repair-milp") {
             if (parser.has_inline_value()) usage("--repair-milp takes no value");
             options.repair_milp = true;
@@ -348,7 +343,7 @@ bool run_fault_replay(const Options& options, net::Network& network,
 }
 
 // --sim-flows: concurrent traffic over the deployment's end-to-end route
-// through the sharded engine (sim/engine.h). All flows share the route's
+// through the traffic engine (sim/engine.h). All flows share the route's
 // links, so later launches queue behind earlier ones; the spread between the
 // first and last FCT is the contention price. Engine counters (sim.*) land
 // in --metrics-out through the shared sink.
@@ -361,7 +356,6 @@ void run_traffic_sim(const Options& options, const net::Network& network,
     spec.payload_bytes_total = 1 << 20;  // 1 MB message per flow
     spec.overhead_bytes = static_cast<int>(metrics.max_inflight_metadata_bytes);
     sim::EngineConfig config;
-    config.threads = options.sim_threads;
     config.sink = sink;
     sim::Engine engine(config);
     const sim::RouteId route = engine.add_route(hops);
@@ -374,8 +368,7 @@ void run_traffic_sim(const Options& options, const net::Network& network,
     const sim::EngineStats& stats = engine.stats();
     std::cout << "traffic simulation  : " << stats.flows << " flows, "
               << stats.packets << " packets, " << stats.events << " events ("
-              << stats.shards << " shards, " << stats.window_syncs
-              << " windows, " << stats.fastpath_flows << " fast-path)\n"
+              << stats.fastpath_flows << " fast-path)\n"
               << "  first flow FCT    : " << engine.result(flows.front()).fct_us
               << " us\n"
               << "  last flow FCT     : " << engine.result(flows.back()).fct_us
