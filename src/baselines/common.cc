@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "milp/lin.h"
-#include "tdg/analyzer.h"
 #include "tdg/merge.h"
 
 namespace hermes::baselines {
@@ -14,19 +13,16 @@ namespace hermes::baselines {
 tdg::Tdg union_programs(const std::vector<prog::Program>& programs,
                         std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
     if (programs.empty()) throw std::invalid_argument("union_programs: empty set");
-    tdg::Tdg merged;
+    // Concurrent programs touching the same fields must still be ordered,
+    // merging or not — each fold step adds the conflict edges.
+    tdg::UnionFold fold;
     ranges.clear();
     for (const prog::Program& p : programs) {
-        const tdg::Tdg t = p.to_tdg();
-        const std::size_t begin = merged.node_count();
-        merged = tdg::graph_union(merged, t);
-        ranges.emplace_back(begin, merged.node_count());
+        const std::size_t begin = fold.graph().node_count();
+        fold.push(p.to_tdg());
+        ranges.emplace_back(begin, fold.graph().node_count());
     }
-    // Concurrent programs touching the same fields must still be ordered,
-    // merging or not — the conflict edges apply to the union as well.
-    tdg::add_write_conflict_edges(merged);
-    tdg::analyze(merged);
-    return merged;
+    return std::move(fold).release();
 }
 
 StagePacker::StagePacker(int stages, double capacity)

@@ -55,8 +55,9 @@ public:
 [[nodiscard]] std::vector<std::unique_ptr<Strategy>> all_strategies();
 
 // Union of the programs' TDGs without redundancy elimination (single-switch
-// frameworks deploy programs independently), analyzed; `ranges` receives the
-// [begin, end) node range of each program inside the union.
+// frameworks deploy programs independently), folded in order by
+// tdg::UnionFold and analyzed; `ranges` receives the [begin, end) node range
+// of each program inside the union.
 [[nodiscard]] tdg::Tdg union_programs(const std::vector<prog::Program>& programs,
                                       std::vector<std::pair<std::size_t, std::size_t>>& ranges);
 

@@ -9,8 +9,6 @@
 #include "fault/crash.h"
 #include "fault/injector.h"
 #include "obs/obs.h"
-#include "tdg/analyzer.h"
-#include "tdg/merge.h"
 #include "util/crc.h"
 
 namespace hermes::core {
@@ -21,17 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// Merge-cache key of the first `count` programs of an ordered list: their
-// per-add serials, newline-joined.
-std::string merge_key(const std::vector<std::uint64_t>& serials, std::size_t count) {
-    std::string key;
-    for (std::size_t i = 0; i < count; ++i) {
-        key += std::to_string(serials[i]);
-        key += '\n';
-    }
-    return key;
 }
 
 // One epoch op as journaled ({"op": ...}); inverse below. These live here —
@@ -97,6 +84,15 @@ util::StatusOr<Engine::Mutation> mutation_from_json(const util::Json& j) {
     return m;
 }
 
+// The incumbent's metrics as snapshots and fingerprints record them.
+util::Json metrics_to_json(const DeploymentMetrics& metrics) {
+    return util::JsonObject{{"max_pair_metadata_bytes", metrics.max_pair_metadata_bytes},
+                            {"max_inflight_metadata_bytes", metrics.max_inflight_metadata_bytes},
+                            {"route_latency_us", metrics.route_latency_us},
+                            {"occupied_switches", metrics.occupied_switches},
+                            {"total_resource_units", metrics.total_resource_units}};
+}
+
 }  // namespace
 
 Engine::Engine(net::Network network, EngineOptions options)
@@ -109,7 +105,7 @@ void Engine::bump(const char* counter, std::int64_t delta) const {
 std::vector<std::string> Engine::program_names() const {
     std::vector<std::string> names;
     names.reserve(programs_.size());
-    for (const ProgramEntry& p : programs_) names.push_back(p.name);
+    for (const auto& p : programs_) names.push_back(p->program.name());
     return names;
 }
 
@@ -122,59 +118,13 @@ HermesOptions Engine::hermes_options(const Deadline& deadline) {
     h.oracle = &oracle_;
     h.milp = options_.milp;
     h.milp.threads = options_.resolved_threads();
-    h.segment_level_milp = merged_.node_count() > 40;
+    h.segment_level_milp = merged().node_count() > 40;
     return h;
 }
 
-const tdg::Tdg& Engine::merged_for(const std::vector<ProgramEntry>& programs) {
-    std::vector<std::uint64_t> serials;
-    serials.reserve(programs.size());
-    for (const ProgramEntry& p : programs) serials.push_back(p.serial);
-    const std::string key = merge_key(serials, serials.size());
-    ++merge_clock_;
-    if (const auto it = merge_cache_.find(key); it != merge_cache_.end()) {
-        it->second.last_used = merge_clock_;
-        bump("engine.merge_hits");
-        return it->second.tdg;
-    }
-    bump("engine.merge_misses");
-
-    // Extend the longest cached proper prefix instead of re-merging from
-    // scratch — the common churn pattern (add one tenant) reuses the whole
-    // standing merge and only pays conflict ordering + annotation.
-    tdg::Tdg combined;
-    std::size_t have = 0;
-    for (std::size_t take = programs.size(); take-- > 1;) {
-        const auto it = merge_cache_.find(merge_key(serials, take));
-        if (it != merge_cache_.end()) {
-            it->second.last_used = merge_clock_;
-            combined = it->second.tdg;
-            have = take;
-            bump("engine.merge_extends");
-            break;
-        }
-    }
-    if (have == 0) {
-        combined = programs.front().tdg;
-        have = 1;
-    }
-    for (std::size_t i = have; i < programs.size(); ++i) {
-        combined = tdg::graph_union(combined, programs[i].tdg);
-    }
-    tdg::add_write_conflict_edges(combined);
-    tdg::analyze(combined);
-
-    if (merge_cache_.size() >= options_.merge_cache_limit && !merge_cache_.empty()) {
-        auto victim = merge_cache_.begin();
-        for (auto it = merge_cache_.begin(); it != merge_cache_.end(); ++it) {
-            if (it->second.last_used < victim->second.last_used) victim = it;
-        }
-        merge_cache_.erase(victim);
-    }
-    auto [it, inserted] =
-        merge_cache_.emplace(key, MergeEntry{std::move(combined), merge_clock_});
-    (void)inserted;
-    return it->second.tdg;
+void Engine::refold(std::size_t position) {
+    fold_.truncate(position);
+    for (std::size_t i = fold_.size(); i < programs_.size(); ++i) fold_.push(programs_[i]->tdg);
 }
 
 util::StatusOr<DeltaOutcome> Engine::add_program(prog::Program program) {
@@ -273,28 +223,29 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
     }
 
     // ---- Apply program-set changes (rolled back on failure below). ----
-    const std::vector<ProgramEntry> programs_before = programs_;
-    std::vector<ProgramEntry> next;
+    // The merge is refolded from the first removed position on: every
+    // program before it survives in place.
     std::vector<bool> survived(programs_.size(), true);
     for (const Mutation& m : batch) {
         if (m.kind != Mutation::Kind::kRemoveProgram) continue;
         for (std::size_t i = 0; i < programs_.size(); ++i) {
-            if (survived[i] && programs_[i].name == m.name) {
+            if (survived[i] && programs_[i]->program.name() == m.name) {
                 survived[i] = false;
                 break;
             }
         }
     }
+    const std::size_t unchanged = static_cast<std::size_t>(
+        std::find(survived.begin(), survived.end(), false) - survived.begin());
+    ProgramList next;
     for (std::size_t i = 0; i < programs_.size(); ++i) {
         if (survived[i]) next.push_back(programs_[i]);
     }
     for (Mutation& m : batch) {
         if (m.kind != Mutation::Kind::kAddProgram) continue;
         tdg::Tdg program_tdg = m.program->to_tdg();
-        const std::size_t node_count = program_tdg.node_count();
-        next.push_back(ProgramEntry{m.program->name(), next_program_serial_++,
-                                    std::move(*m.program), std::move(program_tdg),
-                                    node_count});
+        next.push_back(std::make_shared<const ProgramEntry>(
+            ProgramEntry{std::move(*m.program), std::move(program_tdg)}));
     }
 
     // Remap the incumbent's placements onto the next merge's id space: a
@@ -303,8 +254,8 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
     std::vector<Placement> preserved;
     if (incumbent_ok_) {
         std::size_t old_offset = 0;
-        for (std::size_t i = 0; i < programs_before.size(); ++i) {
-            const std::size_t count = programs_before[i].node_count;
+        for (std::size_t i = 0; i < programs_.size(); ++i) {
+            const std::size_t count = programs_[i]->tdg.node_count();
             if (survived[i]) {
                 for (std::size_t k = 0; k < count; ++k) {
                     preserved.push_back(incumbent_.placements[old_offset + k]);
@@ -314,7 +265,7 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
         }
     }
 
-    programs_ = std::move(next);
+    ProgramList programs_before = std::exchange(programs_, std::move(next));
 
     // ---- Apply fault events through the injector (oracle kept in sync). ----
     if (have_fault) {
@@ -332,22 +283,22 @@ util::StatusOr<DeltaOutcome> Engine::apply(std::vector<Mutation> batch) {
     // ---- One climb of the re-solve ladder covers the whole batch. ----
     const auto start = Clock::now();
     ++epoch_;
-    merged_ = programs_.empty() ? tdg::Tdg{} : merged_for(programs_);
+    refold(unchanged);
     util::StatusOr<Redeployment> resolved =
-        redeploy(merged_, network_, hermes_options(deadline), options_.allow_milp,
+        redeploy(merged(), network_, hermes_options(deadline), options_.allow_milp,
                  incumbent_ok_ ? &incumbent_ : nullptr, preserved, want_retarget);
     if (!resolved.ok()) {
         // Program changes roll back; faults are physical and stay. The old
         // incumbent survives only if it still verifies on the (possibly
         // mutated) topology against the restored merge.
-        programs_ = programs_before;
-        merged_ = programs_.empty() ? tdg::Tdg{} : merged_for(programs_);
+        programs_ = std::move(programs_before);
+        refold(unchanged);
         if (incumbent_ok_ && have_fault) {
             VerifyOptions vo;
             vo.epsilon1 = options_.epsilon1;
             vo.epsilon2 = options_.epsilon2;
             incumbent_ok_ =
-                !programs_.empty() && verify(merged_, network_, incumbent_, vo).ok;
+                !programs_.empty() && verify(merged(), network_, incumbent_, vo).ok;
         }
         bump("engine.failed_epochs");
     } else {
@@ -378,13 +329,9 @@ util::Status Engine::enable_journal(const std::string& path, JournalOptions opti
 }
 
 util::Json Engine::snapshot_json() const {
-    util::JsonObject o;
-    o.emplace_back("type", "snapshot");
-    o.emplace_back("epoch", epoch_);
     util::JsonArray programs;
-    for (const ProgramEntry& p : programs_) {
-        programs.push_back(program_to_json(p.program));
-    }
+    for (const auto& p : programs_) programs.push_back(program_to_json(p->program));
+    util::JsonObject o{{"type", "snapshot"}, {"epoch", epoch_}};
     o.emplace_back("programs", std::move(programs));
     // The base topology is the owner's to rebuild; only the fault deltas are
     // state the journal must carry.
@@ -403,13 +350,7 @@ util::Json Engine::snapshot_json() const {
     o.emplace_back("down_links", std::move(down_links));
     o.emplace_back("incumbent_ok", incumbent_ok_);
     o.emplace_back("incumbent", deployment_to_json(incumbent_));
-    util::JsonObject m;
-    m.emplace_back("max_pair_metadata_bytes", metrics_.max_pair_metadata_bytes);
-    m.emplace_back("max_inflight_metadata_bytes", metrics_.max_inflight_metadata_bytes);
-    m.emplace_back("route_latency_us", metrics_.route_latency_us);
-    m.emplace_back("occupied_switches", metrics_.occupied_switches);
-    m.emplace_back("total_resource_units", metrics_.total_resource_units);
-    o.emplace_back("metrics", std::move(m));
+    o.emplace_back("metrics", metrics_to_json(metrics_));
     return util::Json(std::move(o));
 }
 
@@ -422,15 +363,13 @@ util::Status Engine::restore_snapshot(const util::Json& snapshot) {
         !snapshot.get("incumbent").is_object()) {
         return util::Status::invalid("engine: malformed snapshot record");
     }
-    std::vector<ProgramEntry> next;
+    ProgramList next;
     for (const util::Json& pj : snapshot.get("programs").array()) {
         util::StatusOr<prog::Program> program = program_from_json(pj);
         if (!program.ok()) return program.status();
         tdg::Tdg program_tdg = program.value().to_tdg();
-        const std::size_t node_count = program_tdg.node_count();
-        next.push_back(ProgramEntry{program.value().name(), next_program_serial_++,
-                                    std::move(program).value(), std::move(program_tdg),
-                                    node_count});
+        next.push_back(std::make_shared<const ProgramEntry>(
+            ProgramEntry{std::move(program).value(), std::move(program_tdg)}));
     }
     util::StatusOr<Deployment> incumbent =
         deployment_from_json(snapshot.get("incumbent"));
@@ -475,7 +414,7 @@ util::Status Engine::restore_snapshot(const util::Json& snapshot) {
     for (const fault::FaultEvent& e : faults) (void)injector.apply(e);
 
     programs_ = std::move(next);
-    merged_ = programs_.empty() ? tdg::Tdg{} : merged_for(programs_);
+    refold(0);
     incumbent_ = std::move(incumbent).value();
     incumbent_ok_ = snapshot.get("incumbent_ok").bool_value();
     metrics_ = DeploymentMetrics{};
@@ -485,12 +424,12 @@ util::Status Engine::restore_snapshot(const util::Json& snapshot) {
         VerifyOptions verify_options;
         verify_options.epsilon1 = options_.epsilon1;
         verify_options.epsilon2 = options_.epsilon2;
-        if (incumbent_.placements.size() == merged_.node_count() &&
-            verify(merged_, network_, incumbent_, verify_options).ok) {
+        if (incumbent_.placements.size() == merged().node_count() &&
+            verify(merged(), network_, incumbent_, verify_options).ok) {
             // Recomputing beats trusting the serialized metrics: evaluate()
             // is deterministic, so this matches the uninterrupted run bit
             // for bit and can never disagree with the restored incumbent.
-            metrics_ = evaluate(merged_, network_, incumbent_);
+            metrics_ = evaluate(merged(), network_, incumbent_);
         } else {
             incumbent_ok_ = false;
             bump("engine.recovery_reverify_failures");
@@ -572,20 +511,11 @@ util::StatusOr<Engine::RecoveryReport> Engine::recover(const std::string& path,
 }
 
 std::uint32_t Engine::fingerprint() const {
-    util::JsonObject o;
-    o.emplace_back("epoch", epoch_);
     util::JsonArray names;
-    for (const ProgramEntry& p : programs_) names.push_back(util::Json(p.name));
-    o.emplace_back("programs", std::move(names));
-    o.emplace_back("incumbent_ok", incumbent_ok_);
+    for (const auto& p : programs_) names.push_back(util::Json(p->program.name()));
+    util::JsonObject o{{"epoch", epoch_}, {"programs", names}, {"incumbent_ok", incumbent_ok_}};
     o.emplace_back("incumbent", deployment_to_json(incumbent_));
-    util::JsonObject m;
-    m.emplace_back("max_pair_metadata_bytes", metrics_.max_pair_metadata_bytes);
-    m.emplace_back("max_inflight_metadata_bytes", metrics_.max_inflight_metadata_bytes);
-    m.emplace_back("route_latency_us", metrics_.route_latency_us);
-    m.emplace_back("occupied_switches", metrics_.occupied_switches);
-    m.emplace_back("total_resource_units", metrics_.total_resource_units);
-    o.emplace_back("metrics", std::move(m));
+    o.emplace_back("metrics", metrics_to_json(metrics_));
     return util::crc32c(util::Json(std::move(o)).dump());
 }
 

@@ -17,15 +17,15 @@
 // once — the serve daemon coalesces concurrent requests into one epoch this
 // way.
 //
-// Merge representation: the resident merged TDG is the plain union of the
-// program TDGs (graph_union + add_write_conflict_edges + analyze), NOT the
+// Merge representation: the resident merged TDG is the union of the program
+// TDGs as a left fold over the ordered program list (tdg::UnionFold), NOT the
 // deduplicating merge of the one-shot analyze() pipeline. Union keeps every
 // program's nodes in one contiguous id range, so removing a tenant is an id
-// shift of the surviving placements instead of a re-merge unwind, and the
-// incremental ladder can treat "the affected TDG slice" as a suffix. Merges
-// are memoized per ordered list of program adds (engine.merge_hits /
-// engine.merge_misses) and additions extend the cached prefix in place; a
-// program removed and re-added under the same name counts as a new add.
+// shift of the surviving placements, and additions are a suffix for the
+// incremental ladder. An epoch cuts the fold back to its first removed
+// program and folds the rest back in; an epoch that changes no program does
+// no merge work. The fold depends on the program list alone, so a recovered
+// engine merges bit-identically.
 //
 // Error handling is StatusOr end to end: an infeasible mutation rolls the
 // program set back and leaves the previous verified incumbent standing
@@ -36,7 +36,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +51,7 @@
 #include "net/network.h"
 #include "net/path_oracle.h"
 #include "prog/program.h"
+#include "tdg/merge.h"
 #include "util/status.h"
 
 namespace hermes::core {
@@ -58,7 +59,7 @@ namespace hermes::core {
 // Inherits core::CommonOptions: `threads` drives the greedy rungs, `sink`
 // records the engine.* metrics, and an active `deadline` bounds every
 // epoch's ladder (one shared token; epoch_deadline_seconds arms a fresh
-// one per epoch instead).
+// one per epoch instead). The merge has no knob (DESIGN.md §5j).
 struct EngineOptions : CommonOptions {
     double epsilon1 = std::numeric_limits<double>::infinity();         // t_e2e bound
     std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();  // Q_occ bound
@@ -70,8 +71,6 @@ struct EngineOptions : CommonOptions {
     bool allow_milp = false;
     // Budget knobs for the exact escalation.
     milp::MilpOptions milp;
-    // Memoized merges kept per ordered list of program adds.
-    std::size_t merge_cache_limit = 64;
 };
 
 class Engine {
@@ -157,7 +156,7 @@ public:
     [[nodiscard]] const net::Network& network() const noexcept { return network_; }
     [[nodiscard]] net::PathOracle& oracle() noexcept { return oracle_; }
     [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
-    [[nodiscard]] const tdg::Tdg& merged() const noexcept { return merged_; }
+    [[nodiscard]] const tdg::Tdg& merged() const noexcept { return fold_.graph(); }
     [[nodiscard]] std::size_t program_count() const noexcept { return programs_.size(); }
     [[nodiscard]] std::vector<std::string> program_names() const;
     [[nodiscard]] bool has_incumbent() const noexcept { return incumbent_ok_; }
@@ -168,20 +167,16 @@ public:
     [[nodiscard]] std::int64_t epoch() const noexcept { return epoch_; }
 
 private:
+    // One add, immutable once made: epochs and their rollbacks share it.
     struct ProgramEntry {
-        std::string name;
-        // Identity of this add, unique within the engine: the merge cache
-        // keys on it, so a program re-added under a removed one's name never
-        // reuses that program's merges.
-        std::uint64_t serial;
         prog::Program program;
-        tdg::Tdg tdg;            // program.to_tdg(), cached
-        std::size_t node_count;  // tdg.node_count()
+        tdg::Tdg tdg;  // program.to_tdg()
     };
+    using ProgramList = std::vector<std::shared_ptr<const ProgramEntry>>;
 
     [[nodiscard]] HermesOptions hermes_options(const Deadline& deadline);
-    // Union-merge of `programs` (memoized). Never empty input.
-    [[nodiscard]] const tdg::Tdg& merged_for(const std::vector<ProgramEntry>& programs);
+    // Cuts the fold back to `position` and folds programs_ from there on.
+    void refold(std::size_t position);
     void bump(const char* counter, std::int64_t delta = 1) const;
 
     // Full-state snapshot record ({"type":"snapshot", ...}).
@@ -194,8 +189,8 @@ private:
     net::Network network_;
     EngineOptions options_;
     net::PathOracle oracle_;
-    std::vector<ProgramEntry> programs_;
-    tdg::Tdg merged_;  // union-merge of programs_, annotated
+    ProgramList programs_;
+    tdg::UnionFold fold_;  // one position per entry of programs_
     Deployment incumbent_;
     DeploymentMetrics metrics_;
     bool incumbent_ok_ = false;
@@ -204,14 +199,6 @@ private:
     // True while recover() replays journaled epochs: suppresses re-journaling
     // (the records are already durable) and snapshot rotation.
     bool replaying_ = false;
-
-    struct MergeEntry {
-        tdg::Tdg tdg;
-        std::int64_t last_used = 0;
-    };
-    std::map<std::string, MergeEntry> merge_cache_;
-    std::int64_t merge_clock_ = 0;
-    std::uint64_t next_program_serial_ = 0;
 };
 
 }  // namespace hermes::core

@@ -6,21 +6,8 @@
 #include <stdexcept>
 
 #include "core/objective.h"
-#include "tdg/analyzer.h"
-#include "tdg/merge.h"
 
 namespace hermes::core {
-
-tdg::Tdg extend_programs(const tdg::Tdg& base,
-                         const std::vector<prog::Program>& additions) {
-    tdg::Tdg combined = base;
-    for (const prog::Program& p : additions) {
-        combined = tdg::graph_union(combined, p.to_tdg());
-    }
-    tdg::add_write_conflict_edges(combined);
-    tdg::analyze(combined);
-    return combined;
-}
 
 std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
                                                     std::size_t base_count,
@@ -44,12 +31,12 @@ std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
     // Chain: the existing traversal order followed by untouched programmable
     // switches (nearest-first to the chain tail would need a metric; id
     // order keeps it deterministic).
+    const std::vector<tdg::NodeId> topo = combined.topological_order();
     std::vector<net::SwitchId> chain;
     if (base_count > 0) {
         // Order the occupied switches by the earliest topological position
         // of an old node on them (the placements cover the prefix only).
         std::map<net::SwitchId, std::size_t> first_pos;
-        const std::vector<tdg::NodeId> topo = combined.topological_order();
         std::vector<std::size_t> pos(combined.node_count());
         for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
         for (tdg::NodeId v = 0; v < base_count; ++v) {
@@ -87,27 +74,28 @@ std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
     std::map<net::SwitchId, std::size_t> chain_index;
     for (std::size_t i = 0; i < chain.size(); ++i) chain_index[chain[i]] = i;
 
-    std::vector<bool> placed(combined.node_count(), false);
-    for (tdg::NodeId v = 0; v < base_count; ++v) placed[v] = true;
+    // Each new MAT's predecessors, in edge order, looked up once. The walk
+    // below is topological, so all of them are placed when the MAT is.
+    std::vector<std::vector<tdg::NodeId>> predecessors(combined.node_count() - base_count);
+    for (const tdg::Edge& e : combined.edges()) {
+        if (e.to >= base_count) predecessors[e.to - base_count].push_back(e.from);
+    }
 
-    for (const tdg::NodeId v : combined.topological_order()) {
+    for (const tdg::NodeId v : topo) {
         if (v < base_count) continue;
+        const std::vector<tdg::NodeId>& preds = predecessors[v - base_count];
         std::size_t first = 0;
-        for (const tdg::Edge& e : combined.edges()) {
-            if (e.to != v || !placed[e.from]) continue;
-            first = std::max(first,
-                             chain_index.at(result.deployment.placements[e.from].sw));
+        for (const tdg::NodeId p : preds) {
+            first = std::max(first, chain_index.at(result.deployment.placements[p].sw));
         }
         const double need = combined.node(v).resource_units();
         bool done = false;
         for (std::size_t k = first; k < chain.size() && !done; ++k) {
             const net::SwitchId u = chain[k];
             int min_stage = 0;
-            for (const tdg::Edge& e : combined.edges()) {
-                if (e.to != v || !placed[e.from]) continue;
-                if (result.deployment.placements[e.from].sw == u) {
-                    min_stage = std::max(min_stage,
-                                         result.deployment.placements[e.from].stage + 1);
+            for (const tdg::NodeId p : preds) {
+                if (result.deployment.placements[p].sw == u) {
+                    min_stage = std::max(min_stage, result.deployment.placements[p].stage + 1);
                 }
             }
             std::vector<double>& stages = load.at(u);
@@ -115,9 +103,7 @@ std::optional<IncrementalResult> incremental_deploy(const tdg::Tdg& combined,
                  s < stages.size() && !done; ++s) {
                 if (stages[s] + need > net.props(u).stage_capacity + 1e-9) continue;
                 stages[s] += need;
-                result.deployment.placements[v] =
-                    Placement{u, static_cast<int>(s)};
-                placed[v] = true;
+                result.deployment.placements[v] = Placement{u, static_cast<int>(s)};
                 done = true;
             }
         }

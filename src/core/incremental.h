@@ -5,23 +5,17 @@
 // new programs without moving a single already-placed MAT: new MATs are
 // packed into the residual stage capacity along the existing traversal chain
 // (plus spare programmable switches appended after it), respecting every
-// dependency. If the combined analysis orders a *new* MAT before an *old*
-// one (a read/write conflict pointing backwards), incremental placement is
-// impossible and the caller should fall back to a full redeploy.
+// dependency. If the combined TDG orders a *new* MAT before an *old* one,
+// incremental placement is impossible and the caller should fall back to a
+// full redeploy; a tdg::UnionFold extended by the new programs never does.
 #pragma once
 
 #include <optional>
 
 #include "core/deployment.h"
 #include "net/path_oracle.h"
-#include "prog/program.h"
 
 namespace hermes::core {
-
-// Unions `additions` onto an analyzed base TDG, re-running conflict ordering
-// and metadata analysis. Node ids of `base` are preserved as a prefix.
-[[nodiscard]] tdg::Tdg extend_programs(const tdg::Tdg& base,
-                                       const std::vector<prog::Program>& additions);
 
 struct IncrementalResult {
     Deployment deployment;              // covers all nodes of the combined TDG

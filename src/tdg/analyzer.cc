@@ -1,7 +1,5 @@
 #include "tdg/analyzer.h"
 
-#include <map>
-
 #include "obs/obs.h"
 #include "tdg/field.h"
 #include "tdg/merge.h"
@@ -31,123 +29,11 @@ void analyze(Tdg& t) {
     }
 }
 
-namespace {
-
-// Word-parallel reachability bitsets: reach.test(u, v) iff a path u -> v
-// exists. O(n * E / 64) per transitive union.
-class ReachMatrix {
-public:
-    explicit ReachMatrix(std::size_t n)
-        : n_(n), words_((n + 63) / 64), bits_(n * words_, 0) {}
-
-    [[nodiscard]] bool test(std::size_t u, std::size_t v) const noexcept {
-        return (bits_[u * words_ + v / 64] >> (v % 64)) & 1u;
-    }
-    void set(std::size_t u, std::size_t v) noexcept {
-        bits_[u * words_ + v / 64] |= std::uint64_t{1} << (v % 64);
-    }
-    // reach[u] |= reach[v]
-    void merge_row(std::size_t u, std::size_t v) noexcept {
-        for (std::size_t w = 0; w < words_; ++w) {
-            bits_[u * words_ + w] |= bits_[v * words_ + w];
-        }
-    }
-
-private:
-    std::size_t n_;
-    std::size_t words_;
-    std::vector<std::uint64_t> bits_;
-};
-
-ReachMatrix reachability(const Tdg& t) {
-    const std::size_t n = t.node_count();
-    ReachMatrix reach(n);
-    // Successor adjacency once, then reverse-topological accumulation.
-    std::vector<std::vector<NodeId>> successors(n);
-    for (const Edge& e : t.edges()) successors[e.from].push_back(e.to);
-    const std::vector<NodeId> topo = t.topological_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        const NodeId u = *it;
-        for (const NodeId v : successors[u]) {
-            reach.set(u, v);
-            reach.merge_row(u, v);
-        }
-    }
-    return reach;
-}
-
-}  // namespace
-
 std::size_t add_write_conflict_edges(Tdg& t) {
-    const std::size_t n = t.node_count();
-    if (n == 0) return 0;
-    const std::vector<NodeId> topo = t.topological_order();
-    auto reach = reachability(t);
-
-    // Adding an edge earlier-pos -> later-pos keeps the current topological
-    // order valid, so positions never need recomputation; reachability is
-    // maintained incrementally: every ancestor of `first` (and `first`
-    // itself) now also reaches `second` and its descendants.
-    auto add_ordered = [&](NodeId first, NodeId second, DepType type) {
-        t.add_edge(first, second, type);
-        for (std::size_t x = 0; x < n; ++x) {
-            if (x != first && !reach.test(x, first)) continue;
-            reach.set(x, second);
-            reach.merge_row(x, second);
-        }
-    };
-
-    // Per field: every MAT touching it (writer and/or reader), in topological
-    // order. Chaining consecutive accesses — writer-to-writer (A), last
-    // writer to each following reader (M), readers to the next writer (R) —
-    // totally orders writes and pins every read between two writes, with a
-    // linear number of edges (pairwise ordering would add O(k²) edges per
-    // field and inflate the metadata accounting).
-    struct Access {
-        NodeId node;
-        bool writes;
-        bool reads;
-    };
-    std::map<std::string, std::vector<Access>> touchers;
-    for (const NodeId v : topo) {
-        std::map<std::string, Access> local;
-        for (const Field& f : t.node(v).modified_fields()) {
-            local.try_emplace(f.name, Access{v, false, false}).first->second.writes = true;
-        }
-        for (const Field& f : t.node(v).match_fields()) {
-            local.try_emplace(f.name, Access{v, false, false}).first->second.reads = true;
-        }
-        for (const auto& [name, access] : local) touchers[name].push_back(access);
-    }
-
-    std::size_t added = 0;
-    auto order_pair = [&](NodeId a, NodeId b, DepType type) {
-        if (a == b || reach.test(a, b) || reach.test(b, a)) return;
-        add_ordered(a, b, type);
-        ++added;
-    };
-    for (const auto& [field, accesses] : touchers) {
-        std::optional<NodeId> last_writer;
-        std::vector<NodeId> readers_since_write;
-        for (const Access& access : accesses) {
-            if (access.writes) {
-                if (last_writer) {
-                    order_pair(*last_writer, access.node, DepType::kAction);
-                }
-                for (const NodeId r : readers_since_write) {
-                    order_pair(r, access.node, DepType::kReverseMatch);
-                }
-                last_writer = access.node;
-                readers_since_write.clear();
-            }
-            if (access.reads && !access.writes) {
-                if (last_writer) {
-                    order_pair(*last_writer, access.node, DepType::kMatch);
-                }
-                readers_since_write.push_back(access.node);
-            }
-        }
-    }
+    UnionFold fold;
+    fold.push(t);
+    const std::size_t added = fold.graph().edge_count() - t.edge_count();
+    t = std::move(fold).release();
     return added;
 }
 
@@ -159,11 +45,7 @@ Tdg analyze_programs(std::vector<Tdg> programs, obs::Sink* sink) {
     std::size_t conflict_edges = 0;
     {
         obs::Span span(sink, "analyzer.conflict_edges");
-        conflict_edges = add_write_conflict_edges(merged);
-    }
-    {
-        obs::Span span(sink, "analyzer.annotate");
-        analyze(merged);
+        conflict_edges = add_write_conflict_edges(merged);  // annotates every edge too
     }
     if (sink) {
         sink->counter("analyzer.nodes").add(static_cast<std::int64_t>(merged.node_count()));

@@ -30,17 +30,20 @@ void analyze(Tdg& t);
 // inference only runs within a program, so after merging, MATs from
 // different programs may share written or matched fields without any
 // ordering edge — and the merged pipeline's behaviour would depend on
-// arbitrary scheduling. For every unordered conflicting pair this adds the
-// edge the paper's own taxonomy prescribes: write-write -> action
-// dependency, write-then-read -> match dependency, read-then-write ->
-// reverse-match dependency (earlier topological position goes first).
-// Returns the number of edges added.
+// arbitrary scheduling. Taking MATs in topological order and fields in name
+// order, each access is chained onto the field's last writer and the
+// readers since that write, with the edge the paper's own taxonomy
+// prescribes: writer -> writer action dependency, last writer -> reader
+// match dependency, reader -> next writer reverse-match dependency — and
+// only between two MATs not already ordered. This is one tdg::UnionFold
+// step over all of `t` from an empty state (tdg/merge.h); it also annotates
+// every edge. Returns the number of edges added.
 std::size_t add_write_conflict_edges(Tdg& t);
 
 // PROGRAM_ANALYZER: merge the program set into T_m and analyze it.
 // Throws std::invalid_argument on an empty set. A non-null `sink` records
-// one span per phase (analyzer.merge / analyzer.conflict_edges /
-// analyzer.annotate) and the merged TDG's size counters.
+// one span per phase (analyzer.merge / analyzer.conflict_edges, which also
+// annotates) and the merged TDG's size counters.
 [[nodiscard]] Tdg analyze_programs(std::vector<Tdg> programs, obs::Sink* sink = nullptr);
 
 }  // namespace hermes::tdg

@@ -1,6 +1,6 @@
 #include "tdg/field.h"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 
 namespace hermes::tdg {
@@ -29,11 +29,15 @@ Field counter_index() { return metadata_field("meta.counter_index", 4); }
 }  // namespace common_metadata
 
 int metadata_bytes(const std::vector<Field>& fields) {
-    std::set<std::string> seen;
+    // Field lists are a MAT's few writes: a scan of the earlier entries
+    // dedups without allocating.
     int total = 0;
-    for (const Field& f : fields) {
-        if (!f.is_metadata()) continue;
-        if (seen.insert(f.name).second) total += f.size_bytes;
+    for (auto f = fields.begin(); f != fields.end(); ++f) {
+        if (!f->is_metadata()) continue;
+        const bool seen = std::any_of(fields.begin(), f, [&](const Field& earlier) {
+            return earlier.is_metadata() && earlier.name == f->name;
+        });
+        if (!seen) total += f->size_bytes;
     }
     return total;
 }

@@ -30,6 +30,23 @@ void Tdg::add_edge(NodeId from, NodeId to, DepType type) {
     edges_.push_back(Edge{from, to, type, 0});
 }
 
+NodeId Tdg::append(const Tdg& other) {
+    const NodeId shift = nodes_.size();
+    nodes_.insert(nodes_.end(), other.nodes_.begin(), other.nodes_.end());
+    for (Edge e : other.edges_) {
+        e.from += shift;
+        e.to += shift;
+        edges_.push_back(e);
+    }
+    return shift;
+}
+
+void Tdg::truncate(std::size_t nodes, std::size_t edges) {
+    if (nodes > nodes_.size() || edges > edges_.size()) throw std::out_of_range("Tdg::truncate");
+    nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(nodes), nodes_.end());
+    edges_.resize(edges);
+}
+
 const Mat& Tdg::node(NodeId id) const {
     if (id >= nodes_.size()) throw std::out_of_range("Tdg::node: bad id");
     return nodes_[id];

@@ -48,6 +48,16 @@ public:
     // std::invalid_argument on self-loops or duplicate (from,to) edges.
     void add_edge(NodeId from, NodeId to, DepType type);
 
+    // Appends `other`'s nodes, ids shifted by node_count(), and its edges as
+    // they are (annotations included). Returns the shift. O(|other|): the
+    // shifted edges cannot duplicate an existing one, so nothing is scanned.
+    NodeId append(const Tdg& other);
+
+    // Keeps the first `nodes` nodes and the first `edges` edges, which must
+    // not touch a dropped node (true of any earlier size of an appended-to
+    // graph). Throws std::out_of_range past the current size.
+    void truncate(std::size_t nodes, std::size_t edges);
+
     [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
     [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
     [[nodiscard]] const Mat& node(NodeId id) const;

@@ -1,8 +1,8 @@
 // core::Engine session tests: delta re-solves matching cold deployments on
 // the testbed and a zoo WAN, batch/epoch semantics, rollback on infeasible
-// or invalid batches, merge memoization, rejected delta candidates, the
-// ladder's MILP and deadline rungs, and a 200-event churn that stays
-// verifier-clean and thread-count deterministic.
+// or invalid batches, the merge as a fold over the program list, rejected
+// delta candidates, the ladder's MILP and deadline rungs, and a 200-event
+// churn that stays verifier-clean and thread-count deterministic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -234,24 +234,65 @@ TEST(Engine, FaultAndRecoverKeepIncumbentVerified) {
     EXPECT_GT(climbs, 0);
 }
 
-TEST(Engine, MergeMemoizationCountsHitsAndExtends) {
-    obs::Sink sink;
-    EngineOptions options;
-    options.sink = &sink;
-    Engine engine(testbed(), options);
-    ASSERT_TRUE(engine.add_program(tenant(71, 0)).ok());
-    ASSERT_TRUE(engine.add_program(tenant(71, 1)).ok());
-    // Adding on top of a cached prefix extends instead of re-merging.
-    EXPECT_GT(sink.counter("engine.merge_extends").value(), 0);
-    ASSERT_TRUE(engine.remove_program("t1").ok());
-    // The one-program set was merged before: removal hits the cache.
-    EXPECT_GT(sink.counter("engine.merge_hits").value(), 0);
+// Empty when `got` has `want`'s node count and edge list (from, to, type,
+// A(a,b)), else the first difference.
+std::string merge_difference(const tdg::Tdg& got, const tdg::Tdg& want) {
+    if (got.node_count() != want.node_count()) {
+        return std::to_string(got.node_count()) + " nodes, want " +
+               std::to_string(want.node_count());
+    }
+    if (got.edge_count() != want.edge_count()) {
+        return std::to_string(got.edge_count()) + " edges, want " +
+               std::to_string(want.edge_count());
+    }
+    for (std::size_t i = 0; i < want.edge_count(); ++i) {
+        const tdg::Edge& g = got.edges()[i];
+        const tdg::Edge& w = want.edges()[i];
+        if (g.from != w.from || g.to != w.to || g.type != w.type ||
+            g.metadata_bytes != w.metadata_bytes) {
+            return "edge " + std::to_string(i) + " differs";
+        }
+    }
+    return {};
+}
+
+TEST(Engine, ExtendingTheMergeEqualsMergingFromScratch) {
+    // The merged TDG is a left fold over the ordered program list, so an
+    // engine that grew its set one add per epoch holds the same graph as one
+    // that received the whole ordered set in a single epoch.
+    util::SplitMix64 rng(0xF01D);
+    std::string first_difference;
+    int differing = 0;
+    for (int set = 0; set < 400; ++set) {
+        std::vector<int> pool(16);
+        for (int i = 0; i < 16; ++i) pool[static_cast<std::size_t>(i)] = i;
+        rng.shuffle(pool);
+        pool.resize(static_cast<std::size_t>(rng.uniform_int(2, 9)));
+
+        Engine extended(zoo_wan());
+        Engine scratch(zoo_wan());
+        std::vector<Engine::Mutation> batch;
+        for (const int index : pool) {
+            const prog::Program p = prog::synthetic_program({}, 1, index);
+            ASSERT_TRUE(extended.add_program(p).ok()) << "set " << set;
+            Engine::Mutation add;
+            add.kind = Engine::Mutation::Kind::kAddProgram;
+            add.program = p;
+            batch.push_back(std::move(add));
+        }
+        ASSERT_TRUE(scratch.apply(std::move(batch)).ok()) << "set " << set;
+        ASSERT_EQ(extended.program_names(), scratch.program_names());
+        const std::string difference = merge_difference(extended.merged(), scratch.merged());
+        if (!difference.empty() && differing++ == 0) {
+            first_difference = "set " + std::to_string(set) + ": " + difference;
+        }
+    }
+    EXPECT_EQ(differing, 0) << first_difference;
 }
 
 TEST(Engine, ReAddedTenantIsMergedFromItsNewProgram) {
     // Remove-then-add under one name is how an operator upgrades a tenant.
-    // The merge cache must not answer for the new program with a merge it
-    // built from the removed one.
+    // The merge must come from the new program, never from the removed one.
     const auto program = [](std::size_t index, const char* name) {
         prog::Program p = prog::synthetic_program({}, 1, index);
         p.set_name(name);

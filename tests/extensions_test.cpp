@@ -1,5 +1,6 @@
 // Tests for the extension modules: exact DP chain segmentation, the
-// ε-tradeoff explorer, and incremental redeployment.
+// ε-tradeoff explorer, and incremental redeployment (on folded TDGs, and
+// against the edge-rescanning placement walk it replaced).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "prog/library.h"
 #include "prog/synthetic.h"
 #include "sim/testbed.h"
+#include "tdg/merge.h"
 #include "util/rng.h"
 
 namespace hermes::core {
@@ -388,6 +390,15 @@ TEST(Tradeoff, Validation) {
 
 // ---- Incremental redeployment -----------------------------------------------------
 
+// `base` with `additions` folded on after it, as the engine extends its
+// merge when programs join a standing deployment. Base ids stay a prefix.
+tdg::Tdg fold_onto(const tdg::Tdg& base, const std::vector<prog::Program>& additions) {
+    tdg::UnionFold fold;
+    fold.push(base);
+    for (const prog::Program& p : additions) fold.push(p.to_tdg());
+    return fold.graph();
+}
+
 TEST(Incremental, AddsProgramsWithoutMovingExisting) {
     const std::vector<prog::Program> base_programs = {prog::make_program("l2l3_routing"),
                                                       prog::make_program("acl_firewall")};
@@ -398,8 +409,7 @@ TEST(Incremental, AddsProgramsWithoutMovingExisting) {
     const net::Network n = sim::make_testbed(config);
     const Deployment existing = try_deploy_greedy(base, n).value().deployment;
 
-    const tdg::Tdg combined =
-        extend_programs(base, {prog::make_program("countmin_sketch")});
+    const tdg::Tdg combined = fold_onto(base, {prog::make_program("countmin_sketch")});
     ASSERT_GT(combined.node_count(), base.node_count());
     const auto result = incremental_deploy(combined, base.node_count(), existing, n);
     ASSERT_TRUE(result.has_value());
@@ -415,21 +425,21 @@ TEST(Incremental, AddsProgramsWithoutMovingExisting) {
 }
 
 TEST(Incremental, SequenceOfAdditionsStaysVerified) {
-    tdg::Tdg current = core::analyze({prog::make_program("nat")});
+    tdg::UnionFold fold;
+    fold.push(core::analyze({prog::make_program("nat")}));
     sim::TestbedConfig config;
     config.switch_count = 6;
     config.stages = 6;
     const net::Network n = sim::make_testbed(config);
-    Deployment deployment = try_deploy_greedy(current, n).value().deployment;
+    Deployment deployment = try_deploy_greedy(fold.graph(), n).value().deployment;
 
     for (const char* name : {"ecmp_lb", "bloom_filter", "qos_meter"}) {
-        const std::size_t base_count = current.node_count();
-        const tdg::Tdg combined = extend_programs(current, {prog::make_program(name)});
-        const auto result = incremental_deploy(combined, base_count, deployment, n);
+        const std::size_t base_count = fold.graph().node_count();
+        fold.push(prog::make_program(name).to_tdg());
+        const auto result = incremental_deploy(fold.graph(), base_count, deployment, n);
         ASSERT_TRUE(result.has_value()) << name;
         deployment = result->deployment;
-        current = combined;
-        EXPECT_TRUE(verify(current, n, deployment).ok) << name;
+        EXPECT_TRUE(verify(fold.graph(), n, deployment).ok) << name;
     }
 }
 
@@ -441,7 +451,7 @@ TEST(Incremental, CapacityExhaustionReturnsNullopt) {
     const net::Network n = sim::make_testbed(config);
     const Deployment existing = try_deploy_greedy(base, n).value().deployment;
     // Ten more sketches cannot fit the remaining space of one switch.
-    const tdg::Tdg combined = extend_programs(base, prog::sketch_programs());
+    const tdg::Tdg combined = fold_onto(base, prog::sketch_programs());
     EXPECT_FALSE(incremental_deploy(combined, base.node_count(), existing, n).has_value());
 }
 
@@ -464,13 +474,162 @@ TEST(Incremental, CheaperThanItLooks) {
     config.stages = 3;
     const net::Network n = sim::make_testbed(config);
     const Deployment existing = try_deploy_greedy(base, n).value().deployment;
-    const tdg::Tdg combined = extend_programs(base, {prog::make_program("flow_stats")});
+    const tdg::Tdg combined = fold_onto(base, {prog::make_program("flow_stats")});
     const auto incremental = incremental_deploy(combined, base.node_count(), existing, n);
     ASSERT_TRUE(incremental.has_value());
     const Deployment full = try_deploy_greedy(combined, n).value().deployment;
     EXPECT_LE(max_pair_metadata(combined, full),
               max_pair_metadata(combined, incremental->deployment) +
                   max_pair_metadata(base, existing) + 1);
+}
+
+// ---- incremental_deploy against the placement walk it replaced ---------------
+//
+// The oracle is the walk as first written: each new MAT rescans every edge
+// for its placed predecessors, once for the first chain switch it may use
+// and once more for every switch it tries.
+
+std::optional<std::vector<Placement>> oracle_incremental_placements(
+    const tdg::Tdg& combined, std::size_t base_count, const Deployment& existing,
+    const net::Network& net) {
+    for (const tdg::Edge& e : combined.edges()) {
+        if (e.from >= base_count && e.to < base_count) return std::nullopt;
+    }
+    std::vector<net::SwitchId> chain;
+    if (base_count > 0) {
+        std::map<net::SwitchId, std::size_t> first_pos;
+        const std::vector<NodeId> topo = combined.topological_order();
+        std::vector<std::size_t> pos(combined.node_count());
+        for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
+        for (NodeId v = 0; v < base_count; ++v) {
+            const net::SwitchId u = existing.placements[v].sw;
+            const auto it = first_pos.find(u);
+            if (it == first_pos.end() || pos[v] < it->second) first_pos[u] = pos[v];
+        }
+        for (const auto& [u, p] : first_pos) chain.push_back(u);
+        std::sort(chain.begin(), chain.end(), [&](net::SwitchId a, net::SwitchId b) {
+            return first_pos.at(a) < first_pos.at(b);
+        });
+    }
+    for (const net::SwitchId u : net.programmable_switches()) {
+        if (std::find(chain.begin(), chain.end(), u) == chain.end()) chain.push_back(u);
+    }
+    std::map<net::SwitchId, std::vector<double>> load;
+    for (const net::SwitchId u : chain) {
+        load[u].assign(static_cast<std::size_t>(net.props(u).stages), 0.0);
+    }
+    for (NodeId v = 0; v < base_count; ++v) {
+        const Placement& p = existing.placements[v];
+        load[p.sw][static_cast<std::size_t>(p.stage)] += combined.node(v).resource_units();
+    }
+    std::map<net::SwitchId, std::size_t> chain_index;
+    for (std::size_t i = 0; i < chain.size(); ++i) chain_index[chain[i]] = i;
+
+    std::vector<Placement> placements(combined.node_count());
+    std::copy(existing.placements.begin(), existing.placements.end(), placements.begin());
+    std::vector<bool> placed(combined.node_count(), false);
+    for (NodeId v = 0; v < base_count; ++v) placed[v] = true;
+    for (const NodeId v : combined.topological_order()) {
+        if (v < base_count) continue;
+        std::size_t first = 0;
+        for (const tdg::Edge& e : combined.edges()) {
+            if (e.to != v || !placed[e.from]) continue;
+            first = std::max(first, chain_index.at(placements[e.from].sw));
+        }
+        const double need = combined.node(v).resource_units();
+        bool done = false;
+        for (std::size_t k = first; k < chain.size() && !done; ++k) {
+            const net::SwitchId u = chain[k];
+            int min_stage = 0;
+            for (const tdg::Edge& e : combined.edges()) {
+                if (e.to != v || !placed[e.from]) continue;
+                if (placements[e.from].sw == u) {
+                    min_stage = std::max(min_stage, placements[e.from].stage + 1);
+                }
+            }
+            std::vector<double>& stages = load.at(u);
+            for (std::size_t s = static_cast<std::size_t>(std::max(min_stage, 0));
+                 s < stages.size() && !done; ++s) {
+                if (stages[s] + need > net.props(u).stage_capacity + 1e-9) continue;
+                stages[s] += need;
+                placements[v] = Placement{u, static_cast<int>(s)};
+                placed[v] = true;
+                done = true;
+            }
+        }
+        if (!done) return std::nullopt;
+    }
+    return placements;
+}
+
+TEST(Incremental, PlacementsMatchTheEdgeRescanningWalkOnRandomTdgs) {
+    // Seeded TDGs whose old prefix sits at random switch/stage slots of a
+    // 1-5 switch testbed with varied stage capacity. Resources are sometimes
+    // whole fractions of a stage, so loads land exactly on the capacity;
+    // some instances overflow or order a new MAT before an old one, and
+    // both walks must then refuse.
+    util::SplitMix64 rng(0x1AC);
+    int placed = 0;
+    int refused = 0;
+    for (int instance = 0; instance < 400; ++instance) {
+        sim::TestbedConfig config;
+        config.switch_count = static_cast<std::size_t>(rng.uniform_int(1, 5));
+        config.stages = static_cast<int>(rng.uniform_int(1, 8));
+        const std::vector<double> round_capacities{0.5, 1.0, 1.5, 4.0};
+        config.stage_capacity =
+            rng.chance(0.5) ? rng.pick(round_capacities) : rng.uniform_real(0.2, 4.0);
+        const net::Network n = sim::make_testbed(config);
+
+        const auto count = static_cast<std::size_t>(rng.uniform_int(1, 30));
+        const auto base_count =
+            static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(count)));
+        const bool quantized = rng.chance(0.5);
+        const bool backward = rng.chance(0.1);
+        tdg::Tdg t;
+        for (std::size_t v = 0; v < count; ++v) {
+            const double fraction = quantized
+                                        ? static_cast<double>(rng.uniform_int(1, 4)) / 4.0
+                                        : rng.uniform_real(0.01, 1.0);
+            t.add_node(mat("n" + std::to_string(v), fraction * config.stage_capacity));
+        }
+        std::vector<NodeId> id_of_rank(count);
+        std::iota(id_of_rank.begin(), id_of_rank.end(), NodeId{0});
+        rng.shuffle(id_of_rank);
+        const double density = rng.uniform_real(0.0, 0.3);
+        for (std::size_t a = 0; a < count; ++a) {
+            for (std::size_t b = a + 1; b < count; ++b) {
+                const NodeId from = id_of_rank[a];
+                const NodeId to = id_of_rank[b];
+                if (from >= base_count && to < base_count && !backward) continue;
+                if (rng.chance(density)) t.add_edge(from, to, DepType::kMatch);
+            }
+        }
+        Deployment existing;
+        for (std::size_t v = 0; v < base_count; ++v) {
+            existing.placements.push_back(Placement{
+                static_cast<net::SwitchId>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(config.switch_count) - 1)),
+                static_cast<int>(rng.uniform_int(0, config.stages - 1))});
+        }
+
+        const auto want = oracle_incremental_placements(t, base_count, existing, n);
+        const auto got = incremental_deploy(t, base_count, existing, n);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "instance " << instance;
+        if (!want.has_value()) {
+            ++refused;
+            continue;
+        }
+        ++placed;
+        ASSERT_EQ(got->deployment.placements.size(), want->size());
+        for (std::size_t v = 0; v < want->size(); ++v) {
+            EXPECT_EQ(got->deployment.placements[v].sw, (*want)[v].sw)
+                << "instance " << instance << " node " << v;
+            EXPECT_EQ(got->deployment.placements[v].stage, (*want)[v].stage)
+                << "instance " << instance << " node " << v;
+        }
+    }
+    EXPECT_GT(placed, 100);
+    EXPECT_GT(refused, 20);
 }
 
 }  // namespace
