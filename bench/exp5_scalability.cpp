@@ -26,11 +26,9 @@ int main() {
     config.hermes.candidate_limit = 0;   // auto
     config.hermes.milp.time_limit_seconds = 3.0;
     config.hermes.oracle = &oracle;
-    // Scalability sweep: give the ILP paths and the greedy anchor search
-    // every core.
+    // Scalability sweep: give the ILP paths every core.
     config.baseline.milp.threads = 0;
     config.hermes.milp.threads = 0;
-    config.hermes.threads = 0;
 
     sim::FlowSpec flow;
     flow.mtu_bytes = 1024;

@@ -1,15 +1,16 @@
-// Microbenchmarks for Algorithm 2's splitting pipeline and anchor search.
+// Microbenchmarks for Algorithm 2's splitting pipeline.
 //
-// Google-benchmark suites compare the indexed splitter/coalescer against the
-// retained seed implementations (core/greedy_reference.h) and sweep the
-// anchor-search thread count. The custom main then runs timed end-to-end
-// sweeps over TDG size x topology size — the 3-switch testbed, a k=4
-// fat-tree, and Topology-Zoo scale (Table III topology 10) — and writes the
-// before/after trajectory to BENCH_greedy.json (pass --sweep-only to skip
-// the google-benchmark portion, --json=PATH to redirect the output).
-// Accepts the common tool flags --threads/--seed/--time-limit and the obs
-// exports --trace-out/--metrics-out (see bench_util.h); unknown flags other
-// than --benchmark_* exit 2.
+// Google-benchmark suites compare the indexed splitter against the retained
+// seed implementation (core/greedy_reference.h). The custom main then runs
+// timed end-to-end sweeps over TDG size x topology size — the 3-switch
+// testbed, a k=4 fat-tree, and Topology-Zoo scale (Table III topology 10) —
+// and writes the before/after trajectory to BENCH_greedy.json (pass
+// --sweep-only to skip the google-benchmark portion, --json=PATH to redirect
+// the output). The sweep exits 1 when the two pipelines pick different
+// anchors. Accepts the common tool flags --threads/--seed/--time-limit
+// (--threads is ignored: the greedy is serial) and the obs exports
+// --trace-out/--metrics-out (see bench_util.h); unknown flags other than
+// --benchmark_* exit 2.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -65,23 +66,6 @@ void BM_SplitTdgReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitTdgReference)->Arg(10)->Arg(30)->Arg(50)->Unit(benchmark::kMillisecond);
 
-void BM_AnchorSearchThreads(benchmark::State& state) {
-    const tdg::Tdg t = workload_tdg(30, 0xbeef);
-    const net::Network n = net::table3_topology(10);
-    auto segments = core::split_tdg(t, all_nodes(t), 12, 1.0);
-    core::GreedyOptions options;
-    options.threads = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        net::PathOracle oracle(n);  // cold cache: measure the full search
-        const auto result =
-            core::deploy_segments_on_chain(t, n, segments, options, &oracle);
-        benchmark::DoNotOptimize(result.anchor);
-    }
-    state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_AnchorSearchThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
@@ -93,8 +77,8 @@ struct SweepInstance {
     int programs;
 };
 
-// End-to-end greedy_deploy, seed pipeline vs indexed + oracle + threads,
-// per instance. Results must agree (the equivalence suite enforces it; here
+// End-to-end greedy_deploy, seed pipeline vs indexed + oracle, per
+// instance. Results must agree (the equivalence suite enforces it; here
 // we cross-check the anchor as a cheap canary). The indexed runs record
 // through `sink` (null = off), so --metrics-out captures the greedy.* and
 // oracle.* counters of the sweep.
@@ -126,7 +110,6 @@ void run_sweeps(const bench::ToolArgs& args) {
 
         net::PathOracle oracle(inst.network);
         core::GreedyOptions options;
-        options.threads = args.threads.value_or(0);  // default: all cores
         options.sink = sink;
         const auto after_start = std::chrono::steady_clock::now();
         const core::GreedyResult after = core::greedy_deploy(t, inst.network, options,

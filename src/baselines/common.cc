@@ -1,6 +1,5 @@
 #include "baselines/common.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -23,92 +22,6 @@ tdg::Tdg union_programs(const std::vector<prog::Program>& programs,
         ranges.emplace_back(begin, fold.graph().node_count());
     }
     return std::move(fold).release();
-}
-
-StagePacker::StagePacker(int stages, double capacity)
-    : load_(static_cast<std::size_t>(stages), 0.0), capacity_(capacity) {
-    if (stages <= 0 || capacity <= 0.0) {
-        throw std::invalid_argument("StagePacker: bad geometry");
-    }
-}
-
-std::optional<int> StagePacker::find_slot(double resource, int min_stage) const {
-    if (resource > capacity_ + 1e-9) return std::nullopt;
-    for (int s = std::max(min_stage, 0); s < stages(); ++s) {
-        if (load_[static_cast<std::size_t>(s)] + resource <= capacity_ + 1e-9) return s;
-    }
-    return std::nullopt;
-}
-
-std::optional<int> StagePacker::place(double resource, int min_stage) {
-    const auto slot = find_slot(resource, min_stage);
-    if (slot) commit(*slot, resource);
-    return slot;
-}
-
-void StagePacker::commit(int stage, double resource) {
-    if (stage < 0 || stage >= stages()) throw std::out_of_range("StagePacker::commit");
-    load_[static_cast<std::size_t>(stage)] += resource;
-}
-
-double StagePacker::remaining_total() const noexcept {
-    double total = 0.0;
-    for (const double l : load_) total += capacity_ - l;
-    return total;
-}
-
-void chain_first_fit(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
-                     const std::vector<net::SwitchId>& chain,
-                     std::vector<StagePacker>& packers, core::Deployment& placements,
-                     std::vector<bool>& placed, std::size_t start_hint) {
-    if (packers.size() != chain.size()) {
-        throw std::invalid_argument("chain_first_fit: packers/chain size mismatch");
-    }
-    if (placements.placements.size() != t.node_count()) {
-        placements.placements.resize(t.node_count());
-    }
-    if (placed.size() != t.node_count()) placed.assign(t.node_count(), false);
-
-    std::vector<std::size_t> chain_index(t.node_count(), 0);
-    for (tdg::NodeId v = 0; v < t.node_count(); ++v) {
-        if (!placed[v]) continue;
-        const auto it = std::find(chain.begin(), chain.end(), placements.placements[v].sw);
-        chain_index[v] = static_cast<std::size_t>(it - chain.begin());
-    }
-
-    // One edge pass: predecessor lists per node (this routine runs on
-    // thousand-edge union TDGs; per-node edge rescans are the hot loop).
-    std::vector<std::vector<tdg::NodeId>> preds(t.node_count());
-    for (const tdg::Edge& e : t.edges()) preds[e.to].push_back(e.from);
-
-    for (const tdg::NodeId v : order) {
-        if (placed[v]) continue;
-        // Earliest admissible chain position: after every placed predecessor.
-        std::size_t first = start_hint;
-        for (const tdg::NodeId p : preds[v]) {
-            if (placed[p]) first = std::max(first, chain_index[p]);
-        }
-        bool done = false;
-        for (std::size_t k = first; k < chain.size() && !done; ++k) {
-            int min_stage = 0;
-            for (const tdg::NodeId p : preds[v]) {
-                if (placed[p] && chain_index[p] == k) {
-                    min_stage =
-                        std::max(min_stage, placements.placements[p].stage + 1);
-                }
-            }
-            const auto stage = packers[k].place(t.node(v).resource_units(), min_stage);
-            if (!stage) continue;
-            placements.placements[v] = core::Placement{chain[k], *stage};
-            chain_index[v] = k;
-            placed[v] = true;
-            done = true;
-        }
-        if (!done) {
-            throw std::runtime_error("chain_first_fit: switch chain exhausted at MAT '" +
-                                     t.node(v).name() + "'");
-        }
-    }
 }
 
 std::optional<std::vector<int>> milp_pack(const tdg::Tdg& t,

@@ -61,37 +61,6 @@ public:
 [[nodiscard]] tdg::Tdg union_programs(const std::vector<prog::Program>& programs,
                                       std::vector<std::pair<std::size_t, std::size_t>>& ranges);
 
-// Incremental per-switch stage packer (first fit).
-class StagePacker {
-public:
-    StagePacker(int stages, double capacity);
-
-    // First stage index >= min_stage with room, or nullopt. Does not commit.
-    [[nodiscard]] std::optional<int> find_slot(double resource, int min_stage) const;
-    // find_slot + commit.
-    std::optional<int> place(double resource, int min_stage);
-    void commit(int stage, double resource);
-
-    [[nodiscard]] int stages() const noexcept { return static_cast<int>(load_.size()); }
-    [[nodiscard]] double capacity() const noexcept { return capacity_; }
-    [[nodiscard]] const std::vector<double>& loads() const noexcept { return load_; }
-    [[nodiscard]] double remaining_total() const noexcept;
-
-private:
-    std::vector<double> load_;
-    double capacity_;
-};
-
-// Node-level first-fit placement of `order` (a topological order) onto a
-// switch chain, never moving a node before its predecessors' switches.
-// `start_hint` biases the first switch tried for nodes with no placed
-// predecessor. Updates `packers`/`placements` in place. Throws
-// std::runtime_error when the chain is exhausted.
-void chain_first_fit(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
-                     const std::vector<net::SwitchId>& chain,
-                     std::vector<StagePacker>& packers, core::Deployment& placements,
-                     std::vector<bool>& placed, std::size_t start_hint = 0);
-
 // Exact per-program stage packing: minimizes the maximum stage index used by
 // `nodes` on a switch whose per-stage remaining capacity is `remaining`,
 // subject to intra-set dependency order. Returns the stage per node, or

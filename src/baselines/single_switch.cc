@@ -45,7 +45,7 @@ std::vector<int> external_stage_floors(const tdg::Tdg& t,
 // minimum stage from already-placed same-switch predecessors.
 std::optional<std::vector<int>> first_fit_single(const tdg::Tdg& t,
                                                  const std::vector<tdg::NodeId>& nodes,
-                                                 StagePacker packer,
+                                                 core::StagePacker packer,
                                                  const std::vector<int>& floors) {
     const std::set<tdg::NodeId> members(nodes.begin(), nodes.end());
     std::map<tdg::NodeId, int> stage_of;
@@ -67,11 +67,23 @@ std::optional<std::vector<int>> first_fit_single(const tdg::Tdg& t,
     return out;
 }
 
-std::vector<double> remaining_capacities(const StagePacker& packer) {
+std::vector<double> remaining_capacities(const core::StagePacker& packer) {
     std::vector<double> rem;
     rem.reserve(packer.loads().size());
     for (const double l : packer.loads()) rem.push_back(packer.capacity() - l);
     return rem;
+}
+
+// core::chain_first_fit, throwing when the chain runs out of room.
+void spill_along_chain(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
+                       const std::vector<net::SwitchId>& chain,
+                       std::vector<core::StagePacker>& packers, core::Deployment& d,
+                       std::vector<bool>& placed, std::size_t start_hint = 0) {
+    if (core::chain_first_fit(t, order, chain, packers, d, placed, start_hint)) return;
+    const auto stuck =
+        std::find_if(order.begin(), order.end(), [&](tdg::NodeId v) { return !placed[v]; });
+    throw std::runtime_error("chain_first_fit: switch chain exhausted at MAT '" +
+                             t.node(*stuck).name() + "'");
 }
 
 }  // namespace
@@ -106,7 +118,7 @@ StrategyOutcome SingleSwitchStrategy::deploy_with_pick(
 
     const std::vector<net::SwitchId> chain = net.programmable_switches();
     if (chain.empty()) throw std::runtime_error(name_ + ": no programmable switches");
-    std::vector<StagePacker> packers;
+    std::vector<core::StagePacker> packers;
     for (const net::SwitchId u : chain) {
         packers.emplace_back(net.props(u).stages, net.props(u).stage_capacity);
     }
@@ -172,7 +184,7 @@ StrategyOutcome SingleSwitchStrategy::deploy_with_pick(
         }
         if (!whole) {
             // Spill the program node-by-node along the chain.
-            chain_first_fit(t, nodes, chain, packers, d, placed, min_index);
+            spill_along_chain(t, nodes, chain, packers, d, placed, min_index);
         }
     }
 
@@ -215,14 +227,14 @@ StrategyOutcome FirstFitByLevelStrategy::deploy(const std::vector<prog::Program>
 
     const std::vector<net::SwitchId> chain = net.programmable_switches();
     if (chain.empty()) throw std::runtime_error(name_ + ": no programmable switches");
-    std::vector<StagePacker> packers;
+    std::vector<core::StagePacker> packers;
     for (const net::SwitchId u : chain) {
         packers.emplace_back(net.props(u).stages, net.props(u).stage_capacity);
     }
     core::Deployment d;
     d.placements.resize(t.node_count());
     std::vector<bool> placed(t.node_count(), false);
-    chain_first_fit(t, order, chain, packers, d, placed);
+    spill_along_chain(t, order, chain, packers, d, placed);
 
     add_crossing_routes(t, net, d, options.oracle);
     outcome.deployment = std::move(d);

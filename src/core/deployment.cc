@@ -31,18 +31,116 @@ std::vector<tdg::NodeId> Deployment::mats_on(net::SwitchId u) const {
     return out;
 }
 
+namespace {
+
+// t's in-edges as CSR: the predecessors of v are
+// preds[first[v] .. first[v + 1]), in edge order. One pass over the edges.
+void index_in_edges(const tdg::Tdg& t, std::vector<std::size_t>& first,
+                    std::vector<tdg::NodeId>& preds) {
+    first.assign(t.node_count() + 1, 0);
+    preds.resize(t.edge_count());
+    for (const tdg::Edge& e : t.edges()) ++first[e.to + 1];
+    for (std::size_t v = 0; v < t.node_count(); ++v) first[v + 1] += first[v];
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const tdg::Edge& e : t.edges()) preds[next[e.to]++] = e.from;
+}
+
+}  // namespace
+
+StagePacker::StagePacker(int stages, double capacity)
+    : load_(static_cast<std::size_t>(std::max(stages, 0)), 0.0), capacity_(capacity) {
+    if (stages <= 0 || capacity <= 0.0) {
+        throw std::invalid_argument("StagePacker: bad geometry");
+    }
+}
+
+std::optional<int> StagePacker::find_slot(double resource, int min_stage) const {
+    for (int s = std::max(min_stage, 0); s < stages(); ++s) {
+        if (load_[static_cast<std::size_t>(s)] + resource <= capacity_ + 1e-9) return s;
+    }
+    return std::nullopt;
+}
+
+std::optional<int> StagePacker::place(double resource, int min_stage) {
+    const auto slot = find_slot(resource, min_stage);
+    if (slot) commit(*slot, resource);
+    return slot;
+}
+
+void StagePacker::commit(int stage, double resource) {
+    if (stage < 0 || stage >= stages()) throw std::out_of_range("StagePacker::commit");
+    load_[static_cast<std::size_t>(stage)] += resource;
+}
+
+void StagePacker::clear() { std::fill(load_.begin(), load_.end(), 0.0); }
+
+double StagePacker::remaining_total() const noexcept {
+    double total = 0.0;
+    for (const double l : load_) total += capacity_ - l;
+    return total;
+}
+
+bool chain_first_fit(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
+                     const std::vector<net::SwitchId>& chain,
+                     std::vector<StagePacker>& packers, Deployment& placements,
+                     std::vector<bool>& placed, std::size_t start_hint) {
+    if (packers.size() != chain.size()) {
+        throw std::invalid_argument("chain_first_fit: packers/chain size mismatch");
+    }
+    if (placements.placements.size() != t.node_count()) {
+        placements.placements.resize(t.node_count());
+    }
+    if (placed.size() != t.node_count()) placed.assign(t.node_count(), false);
+
+    // Chain position per switch id, then per placed node; a switch off the
+    // chain sits past its end, so nothing can follow it.
+    std::vector<std::size_t> position;
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+        if (chain[k] >= position.size()) position.resize(chain[k] + 1, chain.size());
+        position[chain[k]] = k;
+    }
+    std::vector<std::size_t> chain_index(t.node_count(), 0);
+    for (tdg::NodeId v = 0; v < t.node_count(); ++v) {
+        if (!placed[v]) continue;
+        const net::SwitchId sw = placements.placements[v].sw;
+        chain_index[v] = sw < position.size() ? position[sw] : chain.size();
+    }
+
+    std::vector<std::size_t> pred_first;
+    std::vector<tdg::NodeId> preds;
+    index_in_edges(t, pred_first, preds);
+
+    for (const tdg::NodeId v : order) {
+        if (placed[v]) continue;
+        // Earliest admissible chain position: after every placed predecessor.
+        std::size_t first = start_hint;
+        for (std::size_t i = pred_first[v]; i < pred_first[v + 1]; ++i) {
+            if (placed[preds[i]]) first = std::max(first, chain_index[preds[i]]);
+        }
+        bool done = false;
+        for (std::size_t k = first; k < chain.size() && !done; ++k) {
+            int min_stage = 0;
+            for (std::size_t i = pred_first[v]; i < pred_first[v + 1]; ++i) {
+                const tdg::NodeId p = preds[i];
+                if (placed[p] && chain_index[p] == k) {
+                    min_stage = std::max(min_stage, placements.placements[p].stage + 1);
+                }
+            }
+            const auto stage = packers[k].place(t.node(v).resource_units(), min_stage);
+            if (!stage) continue;
+            placements.placements[v] = Placement{chain[k], *stage};
+            chain_index[v] = k;
+            placed[v] = true;
+            done = true;
+        }
+        if (!done) return false;
+    }
+    return true;
+}
+
 SegmentPacker::SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity)
-    : t_(t),
-      stages_(stages),
-      stage_capacity_(stage_capacity),
-      pred_first_(t.node_count() + 1, 0),
-      preds_(t.edge_count()),
-      stage_(t.node_count(), -1),
-      load_(static_cast<std::size_t>(std::max(stages, 0)), 0.0) {
-    for (const tdg::Edge& e : t.edges()) ++pred_first_[e.to + 1];
-    for (std::size_t v = 0; v < t.node_count(); ++v) pred_first_[v + 1] += pred_first_[v];
-    std::vector<std::size_t> next(pred_first_.begin(), pred_first_.end() - 1);
-    for (const tdg::Edge& e : t.edges()) preds_[next[e.to]++] = e.from;
+    : t_(t), loads_(stages, stage_capacity), stage_(t.node_count(), -1) {
+    index_in_edges(t, pred_first_, preds_);
 }
 
 int SegmentPacker::place(tdg::NodeId v) {
@@ -52,30 +150,24 @@ int SegmentPacker::place(tdg::NodeId v) {
         if (p >= 0) earliest = std::max(earliest, p + 1);
     }
     const double need = t_.node(v).resource_units();
-    if (need > stage_capacity_) return -1;  // MAT larger than a stage
-    for (int s = earliest; s < stages_; ++s) {
-        double& load = load_[static_cast<std::size_t>(s)];
-        if (load + need <= stage_capacity_ + 1e-9) {
-            load += need;
-            total_ += need;
-            stage_[v] = s;
-            packed_.push_back(v);
-            return s;
-        }
-    }
-    return -1;
+    const std::optional<int> s = loads_.place(need, earliest);
+    if (!s) return -1;
+    total_ += need;
+    stage_[v] = *s;
+    packed_.push_back(v);
+    return *s;
 }
 
 bool SegmentPacker::add(tdg::NodeId v) {
     const double need = t_.node(v).resource_units();
-    if (total_ + need > stages_ * stage_capacity_ + 1e-9) return false;
+    if (total_ + need > loads_.stages() * loads_.capacity() + 1e-9) return false;
     return place(v) >= 0;
 }
 
 void SegmentPacker::clear() {
     for (const tdg::NodeId v : packed_) stage_[v] = -1;
     packed_.clear();
-    std::fill(load_.begin(), load_.end(), 0.0);
+    loads_.clear();
     total_ = 0.0;
 }
 

@@ -39,18 +39,59 @@ struct Deployment {
     [[nodiscard]] std::vector<tdg::NodeId> mats_on(net::SwitchId u) const;
 };
 
+// Per-stage loads of one switch, and the one rule every first-fit packer
+// applies: a MAT of `resource` units fits stage s when
+// load(s) + resource <= capacity + 1e-9 (the verifier's tolerance).
+class StagePacker {
+public:
+    // Throws std::invalid_argument unless stages > 0 and capacity > 0.
+    StagePacker(int stages, double capacity);
+
+    // First stage index >= min_stage with room, or nullopt. Does not commit.
+    [[nodiscard]] std::optional<int> find_slot(double resource, int min_stage) const;
+    // find_slot + commit.
+    std::optional<int> place(double resource, int min_stage);
+    void commit(int stage, double resource);
+    // Zeroes every stage's load.
+    void clear();
+
+    [[nodiscard]] int stages() const noexcept { return static_cast<int>(load_.size()); }
+    [[nodiscard]] double capacity() const noexcept { return capacity_; }
+    [[nodiscard]] const std::vector<double>& loads() const noexcept { return load_; }
+    [[nodiscard]] double remaining_total() const noexcept;
+
+private:
+    std::vector<double> load_;
+    double capacity_;
+};
+
+// Node-level first-fit placement of `order` (a topological order) onto a
+// switch chain, `packers[k]` holding the loads of `chain[k]`. Nodes already
+// marked in `placed` stay where `placements` has them; every other node of
+// `order` lands on the earliest chain switch at or after `start_hint` and
+// after the switches of its placed predecessors, in the earliest stage
+// after its same-switch predecessors that StagePacker accepts. Updates
+// `packers`, `placements` and `placed` in place. Returns false when some
+// node finds no slot: the first node of `order` left unplaced is that one,
+// and the nodes after it are not tried.
+[[nodiscard]] bool chain_first_fit(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
+                                   const std::vector<net::SwitchId>& chain,
+                                   std::vector<StagePacker>& packers,
+                                   Deployment& placements, std::vector<bool>& placed,
+                                   std::size_t start_hint = 0);
+
 // Packs one segment onto one switch's stages by the topological first-fit
 // rule that assign_stages, split_tdg_first_fit and dp_split all share. Nodes
 // are offered in topological order; each lands in the earliest stage after
-// its packed predecessors that has room (1e-9 tolerance), and a node that no
-// stage can take leaves the packing as it was. Packing never moves a node
+// its packed predecessors that the StagePacker rule accepts, and a node that
+// no stage can take leaves the packing as it was. Packing never moves a node
 // already packed, so growing a segment node by node packs it exactly as a
 // whole re-pack would, and once a node is refused every longer segment
 // fails too.
 class SegmentPacker {
 public:
-    // Indexes t's in-edges once, O(V + E). The geometry is not validated
-    // here (assign_stages does that).
+    // Indexes t's in-edges once, O(V + E). Throws std::invalid_argument on a
+    // bad geometry, as StagePacker does.
     SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity);
 
     // Packs v. Its packed predecessors are taken to be its predecessors in
@@ -71,12 +112,10 @@ public:
 
 private:
     const tdg::Tdg& t_;
-    int stages_;
-    double stage_capacity_;
+    StagePacker loads_;                    // per-stage loads, and the fit rule
     std::vector<std::size_t> pred_first_;  // in-edges of v: preds_[pred_first_[v] ..
     std::vector<tdg::NodeId> preds_;       //   pred_first_[v + 1]), in edge order
     std::vector<int> stage_;               // per node; -1 while unpacked
-    std::vector<double> load_;             // per stage
     std::vector<tdg::NodeId> packed_;
     double total_ = 0.0;
 };

@@ -56,10 +56,12 @@
 
 namespace hermes::core {
 
-// Inherits core::CommonOptions: `threads` drives the greedy rungs, `sink`
-// records the engine.* metrics, and an active `deadline` bounds every
-// epoch's ladder (one shared token; epoch_deadline_seconds arms a fresh
-// one per epoch instead). The merge has no knob (DESIGN.md §5j).
+// Inherits core::CommonOptions: `threads` sizes the branch-and-bound search
+// of the exact escalation (it overrides `milp.threads`; the greedy rungs are
+// serial), `sink` records the engine.* metrics, and an active `deadline`
+// bounds every epoch's ladder (one shared token; epoch_deadline_seconds
+// arms a fresh one per epoch instead). The merge has no knob (DESIGN.md
+// §5j).
 struct EngineOptions : CommonOptions {
     double epsilon1 = std::numeric_limits<double>::infinity();         // t_e2e bound
     std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();  // Q_occ bound

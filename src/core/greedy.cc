@@ -5,13 +5,10 @@
 #include "obs/obs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace hermes::core {
@@ -320,29 +317,19 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
 
     // Segment-fit memo shared by every anchor: all Tofino-profile switches
     // ask the same (stages, capacity) question per segment, so each answer
-    // is packed once instead of once per anchor. Duplicate computation
-    // under contention is harmless (the answer is deterministic).
+    // is packed once instead of once per anchor.
     std::map<std::pair<int, double>, std::vector<signed char>> fit_cache;
-    std::mutex fit_mutex;
     auto segment_fits_cached = [&](std::size_t seg, int stages, double capacity) {
-        {
-            std::lock_guard lock(fit_mutex);
-            std::vector<signed char>& slot = fit_cache[{stages, capacity}];
-            if (slot.empty()) slot.assign(segments.size(), -1);
-            if (slot[seg] >= 0) return slot[seg] == 1;
-        }
-        const bool ok = segment_fits(t, segments[seg], stages, capacity);
-        {
-            std::lock_guard lock(fit_mutex);
-            fit_cache[{stages, capacity}][seg] = ok ? 1 : 0;
-        }
-        return ok;
+        std::vector<signed char>& slot = fit_cache[{stages, capacity}];
+        if (slot.empty()) slot.assign(segments.size(), -1);
+        if (slot[seg] < 0) slot[seg] = segment_fits(t, segments[seg], stages, capacity) ? 1 : 0;
+        return slot[seg] == 1;
     };
 
-    // Pick the feasible anchor whose chain has the lowest total latency;
-    // ties fall to the lowest anchor id — exactly the winner the serial
-    // ascending-anchor scan with a strict-< update would keep, so the
-    // parallel search is deterministic at any thread count.
+    // Anchors are scanned in ascending id order and a candidate replaces the
+    // best so far only when it is strictly better in (feasible, latency,
+    // anchor) order: the feasible chain with the lowest total latency wins,
+    // ties falling to the lowest anchor id.
     struct Candidate {
         bool feasible = false;
         double latency = std::numeric_limits<double>::infinity();
@@ -378,51 +365,24 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
         return c;
     };
 
-    const int threads =
-        std::min<int>(options.resolved_threads(), static_cast<int>(programmable.size()));
-
     // An active deadline token truncates the anchor scan to the best chain
-    // found so far (trading the full deterministic sweep for a prompt exit);
-    // without one the scan is exhaustive and deterministic at any thread
-    // count.
+    // found so far (trading the full sweep for a prompt exit); without one
+    // the scan is exhaustive.
     obs::Span search_span(options.sink, "greedy.anchor_search");
-    std::atomic<std::int64_t> feasible_count{0};
+    std::int64_t feasible_count = 0;
     Candidate best;
-    if (threads <= 1) {
-        for (const net::SwitchId u : programmable) {
-            if (options.deadline.expired()) break;
-            Candidate c = evaluate(u);
-            if (c.feasible) feasible_count.fetch_add(1, std::memory_order_relaxed);
-            if (better(c, best)) best = std::move(c);
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::mutex merge_mutex;
-        {
-            std::vector<std::jthread> workers;
-            workers.reserve(static_cast<std::size_t>(threads));
-            for (int w = 0; w < threads; ++w) {
-                workers.emplace_back([&] {
-                    Candidate local;
-                    for (std::size_t i = next.fetch_add(1); i < programmable.size();
-                         i = next.fetch_add(1)) {
-                        if (options.deadline.expired()) break;
-                        Candidate c = evaluate(programmable[i]);
-                        if (c.feasible) feasible_count.fetch_add(1, std::memory_order_relaxed);
-                        if (better(c, local)) local = std::move(c);
-                    }
-                    std::lock_guard lock(merge_mutex);
-                    if (better(local, best)) best = std::move(local);
-                });
-            }
-        }
+    for (const net::SwitchId u : programmable) {
+        if (options.deadline.expired()) break;
+        Candidate c = evaluate(u);
+        if (c.feasible) ++feasible_count;
+        if (better(c, best)) best = std::move(c);
     }
     search_span.end();
     if (obs::Sink* sink = options.sink) {
         sink->counter("greedy.segments").add(static_cast<std::int64_t>(segments.size()));
         sink->counter("greedy.anchors_tried")
             .add(static_cast<std::int64_t>(programmable.size()));
-        sink->counter("greedy.anchors_feasible").add(feasible_count.load());
+        sink->counter("greedy.anchors_feasible").add(feasible_count);
     }
     if (!best.feasible) {
         throw std::runtime_error(

@@ -9,10 +9,10 @@
 // (out-/in-edge lists plus flat membership flags), so a split level's cut
 // scan is linear in the nodes it splits and their edges; its segment_fits
 // check costs one O((V + E) log V) topological sort of the whole TDG. The
-// anchor search shares one net::PathOracle per Network and can fan out over
-// a thread pool. All rewrites are bit-identical to the retained reference
-// implementations in core/greedy_reference.h (enforced by
-// tests/greedy_equivalence_test).
+// anchor search is one serial loop over the programmable switches and
+// shares one net::PathOracle per Network. All rewrites are bit-identical to
+// the retained reference implementations in core/greedy_reference.h
+// (enforced by tests/greedy_equivalence_test).
 #pragma once
 
 #include <cstdint>
@@ -25,11 +25,9 @@
 
 namespace hermes::core {
 
-// Inherits core::CommonOptions: `threads` is the worker count for the anchor
-// search in deploy_segments_on_chain (0 = hardware concurrency; the
-// deterministic lowest-latency / lowest-anchor-id tie-break makes the result
-// identical at any thread count), and `sink` records greedy.* spans and
-// counters.
+// Inherits core::CommonOptions: `sink` records greedy.* spans and counters,
+// and an active `deadline` truncates the anchor scan. `threads` is ignored:
+// the anchor scan runs on the calling thread.
 struct GreedyOptions : CommonOptions {
     double epsilon1 = std::numeric_limits<double>::infinity();   // t_e2e bound (us)
     std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();  // Q_occ bound
@@ -79,9 +77,8 @@ struct GreedyResult {
 // its candidate chain via select_switches, keeps the feasible chain with the
 // lowest total latency (ties broken toward the lowest anchor id), assigns
 // segment i to chain switch i, and wires consecutive switches with shortest
-// paths. The anchor loop runs on options.threads workers and is
-// deterministic at any thread count. Throws std::runtime_error when no
-// anchor yields enough switches.
+// paths. Anchors are tried in ascending id order on the calling thread.
+// Throws std::runtime_error when no anchor yields enough switches.
 [[nodiscard]] GreedyResult deploy_segments_on_chain(
     const tdg::Tdg& t, const net::Network& net,
     std::vector<std::vector<tdg::NodeId>> segments, const GreedyOptions& options = {},

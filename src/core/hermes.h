@@ -26,13 +26,14 @@
 
 namespace hermes::core {
 
-// Inherits core::CommonOptions: `threads` drives the greedy anchor search
-// (0 = hardware concurrency; the result is identical at any thread count)
-// and `sink` turns on tracing/metrics for the whole pipeline (analyzer,
-// formulation, branch and bound, verifier). The MILP search keeps its own
-// budget knobs under `milp`; an active `deadline` token is forwarded into
-// them (unless `milp.deadline` is armed separately) and also truncates the
-// greedy anchor search, so one token cancels whichever path is running.
+// Inherits core::CommonOptions: `sink` turns on tracing/metrics for the
+// whole pipeline (analyzer, formulation, branch and bound, verifier), and
+// `threads` is not read (the greedy anchor search is serial; branch and
+// bound takes its worker count from `milp.threads`). The MILP search keeps
+// its own budget knobs under `milp`; an active `deadline` token is
+// forwarded into them (unless `milp.deadline` is armed separately) and also
+// truncates the greedy anchor search, so one token cancels whichever path
+// is running.
 struct HermesOptions : CommonOptions {
     double epsilon1 = std::numeric_limits<double>::infinity();
     std::int64_t epsilon2 = std::numeric_limits<std::int64_t>::max();

@@ -4,10 +4,11 @@
 // disturbs running traffic. This module extends an existing deployment with
 // new programs without moving a single already-placed MAT: new MATs are
 // packed into the residual stage capacity along the existing traversal chain
-// (plus spare programmable switches appended after it), respecting every
-// dependency. If the combined TDG orders a *new* MAT before an *old* one,
-// incremental placement is impossible and the caller should fall back to a
-// full redeploy; a tdg::UnionFold extended by the new programs never does.
+// (plus spare programmable switches appended after it) by the node-level
+// chain_first_fit of core/deployment.h, respecting every dependency. If the
+// combined TDG orders a *new* MAT before an *old* one, incremental placement
+// is impossible and the caller should fall back to a full redeploy; a
+// tdg::UnionFold extended by the new programs never does.
 #pragma once
 
 #include <optional>
@@ -17,17 +18,13 @@
 
 namespace hermes::core {
 
-struct IncrementalResult {
-    Deployment deployment;              // covers all nodes of the combined TDG
-    std::int64_t added_overhead_bytes = 0;  // overhead delta vs the old deployment
-};
-
 // Places nodes [base_count, n) of `combined` around the fixed `existing`
-// placements (which cover nodes [0, base_count)). Returns nullopt when a new
-// MAT must precede an old one, or when the residual capacity cannot host the
+// placements (which cover nodes [0, base_count)), and returns a deployment
+// that covers every node of `combined`. Returns nullopt when a new MAT must
+// precede an old one, or when the residual capacity cannot host the
 // additions. Pass a shared net::PathOracle to reuse cached Dijkstra trees
 // when wiring routes for newly crossing pairs.
-[[nodiscard]] std::optional<IncrementalResult> incremental_deploy(
+[[nodiscard]] std::optional<Deployment> incremental_deploy(
     const tdg::Tdg& combined, std::size_t base_count, const Deployment& existing,
     const net::Network& net, net::PathOracle* oracle = nullptr);
 

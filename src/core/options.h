@@ -2,15 +2,15 @@
 //
 // Every options struct in the optimization pipeline (milp::MilpOptions,
 // milp::LpOptions, core::GreedyOptions, core::HermesOptions,
-// core::FormulationOptions, core::VerifyOptions, baselines::BaselineOptions)
-// embeds CommonOptions as a base, so threads / seed / limits / verbosity and
-// the observability sink are spelled identically everywhere and injected per
-// call instead of through globals. Because the fields are inherited, the
-// historical spellings (`options.threads`, `options.time_limit_seconds`)
-// keep compiling unchanged. The one-release [[deprecated]] aliases that
-// bridged the rename (HermesOptions::greedy_threads, the LpOptions
-// max_iterations/max_seconds spellings) have been removed; use the
-// CommonOptions fields directly.
+// core::FormulationOptions, core::VerifyOptions, core::EngineOptions,
+// baselines::BaselineOptions) embeds CommonOptions as a base, so threads /
+// seed / limits and the observability sink are spelled identically
+// everywhere and injected per call instead of through globals. Because the
+// fields are inherited, the historical spellings (`options.threads`,
+// `options.time_limit_seconds`) keep compiling unchanged. The one-release
+// [[deprecated]] aliases that bridged the rename
+// (HermesOptions::greedy_threads, the LpOptions max_iterations/max_seconds
+// spellings) have been removed; use the CommonOptions fields directly.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,9 @@ class Sink;
 namespace hermes::core {
 
 struct CommonOptions {
-    // Worker threads for any parallel phase; 0 = hardware concurrency.
+    // Worker threads; 0 = hardware concurrency. Only the MILP branch and
+    // bound (milp::MilpOptions) runs in parallel; every other stage is
+    // serial and ignores it.
     int threads = 1;
     // RNG seed for any randomized choice a stage makes (all current solver
     // paths are deterministic; synthetic workload generators honor it).
@@ -35,8 +37,6 @@ struct CommonOptions {
     double time_limit_seconds = 1e18;
     // Cap on the stage's dominant unit of work (simplex pivots for LP/MILP).
     std::int64_t iteration_limit = std::numeric_limits<std::int64_t>::max();
-    // 0 = silent; higher values may print progress to stderr.
-    int verbosity = 0;
     // Observability sink (obs/obs.h). Null disables all instrumentation at
     // near-zero cost; non-null makes every pipeline stage record trace spans
     // and metrics into it.

@@ -49,10 +49,10 @@ std::optional<Deployment> patch_in_place(const tdg::Tdg& t, const net::Network& 
     if (surviving.size() < t.node_count()) {
         Deployment existing;
         existing.placements = surviving;
-        std::optional<IncrementalResult> inc =
+        std::optional<Deployment> inc =
             incremental_deploy(t, surviving.size(), existing, net, &oracle);
         if (!inc.has_value()) return std::nullopt;
-        candidate = std::move(inc->deployment);
+        candidate = std::move(*inc);
     } else {
         candidate.placements = surviving;
     }

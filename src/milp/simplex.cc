@@ -27,6 +27,11 @@ constexpr double kDropTol = 1e-12;  // entries below this are structural zero
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kCandMax = 64;   // pricing candidate-list capacity
 constexpr double kDevexReset = 1e8;    // weight overflow -> reset framework
+// Pivots since the last factorization that force a refactorization (and a
+// from-scratch recompute of the basic solution). Smaller = more stable,
+// larger = cheaper solves; 64 is comfortable for the few-hundred-row P#1
+// instances.
+constexpr std::int64_t kRefactorInterval = 64;
 
 constexpr std::int8_t kAtLower = 0;
 constexpr std::int8_t kAtUpper = 1;
@@ -837,8 +842,7 @@ private:
             // Count pivots since the last rebuild, NOT factor size: a warm
             // reload starts with a full factor and measuring its length
             // would re-trigger a rebuild on every pivot.
-            if (updates_since_factor_ >=
-                static_cast<std::int64_t>(std::max(1, options_.refactor_interval))) {
+            if (updates_since_factor_ >= kRefactorInterval) {
                 if (!factorize_basis()) return Verdict::kStall;
                 compute_basic_solution();
             }

@@ -140,11 +140,6 @@ struct LpOptions : core::CommonOptions {
     // Non-empty parent basis to warm start from; incompatible or numerically
     // unusable bases silently degrade to the cold path.
     const Basis* warm_basis = nullptr;
-    // Pivots since the last factorization that force a refactorization (and
-    // a from-scratch recompute of the basic solution). Smaller = more
-    // stable, larger = cheaper solves; 64 is comfortable for the
-    // few-hundred-row P#1 instances.
-    int refactor_interval = 64;
     // Pivot allowance for a warm attempt before it is abandoned for the cold
     // path; 0 = auto (a small multiple of the basis reload cost). A failed
     // warm attempt wastes its whole budget on top of the cold solve, so this

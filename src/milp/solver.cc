@@ -25,6 +25,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Objectives closer than this are the same incumbent; the lexicographic
 // value tie-break below then keeps the published solution deterministic.
 constexpr double kIncumbentTieEps = 1e-9;
+// A value this close to an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+// The search stops once incumbent - bound <= this gap.
+constexpr double kAbsoluteGap = 1e-6;
+// Pivot cap for one node LP (distinct from the search-wide
+// CommonOptions::iteration_limit).
+constexpr std::int64_t kNodeLpPivotLimit = 200000;
+// Fractional root candidates probed by strong branching, and the pivot cap
+// for each probe LP. Probes that report zero degradation (routine at the
+// degenerate vertices the LU kernel lands on) are discarded rather than
+// seeded, so widening the list past this point only buys root time, not
+// smaller trees: 8 is the measured knee on the P#1-scale instances
+// (DESIGN.md §5i).
+constexpr std::size_t kStrongBranchCandidates = 8;
+constexpr std::int64_t kStrongBranchPivotLimit = 400;
 
 struct BoundChange {
     VarId var;
@@ -114,7 +129,7 @@ public:
 
     MilpResult run() {
         if (options_.warm_start &&
-            model_.is_feasible(*options_.warm_start, options_.integrality_tolerance * 10)) {
+            model_.is_feasible(*options_.warm_start, kIntegralityTolerance * 10)) {
             incumbent_ = sense_ * model_.objective_value(*options_.warm_start);
             incumbent_values_ = *options_.warm_start;
             has_incumbent_ = true;
@@ -301,7 +316,7 @@ private:
                 node = std::move(open_.back());
                 open_.pop_back();
                 ++nodes_;
-                if (node.parent_bound >= incumbent_ - options_.absolute_gap) continue;
+                if (node.parent_bound >= incumbent_ - kAbsoluteGap) continue;
                 if (seen_bounds_version != bounds_version_) {
                     base_lower = global_lower_;
                     base_upper = global_upper_;
@@ -348,12 +363,10 @@ private:
             upper[j] = std::min(upper[j], ch.upper);
         }
         LpOptions lp_options;
-        lp_options.iteration_limit = options_.lp_iteration_limit;
+        lp_options.iteration_limit = kNodeLpPivotLimit;
         lp_options.time_limit_seconds = remaining;
         lp_options.deadline = options_.deadline;
         lp_options.warm_basis = warm;
-        lp_options.refactor_interval = options_.lp_refactor_interval;
-        lp_options.warm_pivot_budget = options_.lp_warm_pivot_budget;
         // Root reduced costs feed incumbent-driven bound tightening.
         lp_options.want_dual_values = is_root;
         LpResult lp = context_.solve(lower, upper, lp_options, &workspace);
@@ -425,14 +438,14 @@ private:
         }
 
         const double bound = sense_ * lp.objective;
-        if (bound >= incumbent_ - options_.absolute_gap) return;
+        if (bound >= incumbent_ - kAbsoluteGap) return;
 
-        snap_integers(model_, lp.values, options_.integrality_tolerance);
+        snap_integers(model_, lp.values, kIntegralityTolerance);
         const auto branch_var =
             options_.pseudocost_branching
                 ? pseudocosts_.select(model_, lp.values,
-                                      options_.integrality_tolerance)
-                : pick_branch_var(model_, lp.values, options_.integrality_tolerance);
+                                      kIntegralityTolerance)
+                : pick_branch_var(model_, lp.values, kIntegralityTolerance);
         if (!branch_var) {
             publish_incumbent(bound, std::move(lp.values));
             return;
@@ -496,18 +509,14 @@ private:
             const double x = root.values[j];
             const double f = x - std::floor(x);
             const double dist = std::min(f, 1.0 - f);
-            if (dist <= options_.integrality_tolerance) continue;
+            if (dist <= kIntegralityTolerance) continue;
             cands.push_back({static_cast<VarId>(j), dist});
         }
         std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
             if (a.frac != b.frac) return a.frac > b.frac;
             return a.var < b.var;
         });
-        if (cands.size() > static_cast<std::size_t>(
-                               std::max(0, options_.strong_branch_candidates))) {
-            cands.resize(
-                static_cast<std::size_t>(options_.strong_branch_candidates));
-        }
+        if (cands.size() > kStrongBranchCandidates) cands.resize(kStrongBranchCandidates);
 
         const double root_bound = sense_ * root.objective;
         std::int64_t spent = 0;
@@ -525,15 +534,13 @@ private:
                     upper[j] = floor_x;
                 }
                 LpOptions probe;
-                probe.iteration_limit = options_.strong_branch_pivot_limit;
+                probe.iteration_limit = kStrongBranchPivotLimit;
                 probe.time_limit_seconds =
                     options_.time_limit_seconds <= 0.0
                         ? 1e18
                         : std::max(0.05, options_.time_limit_seconds - seconds());
                 probe.deadline = options_.deadline;
                 probe.warm_basis = &root.basis;
-                probe.refactor_interval = options_.lp_refactor_interval;
-                probe.warm_pivot_budget = options_.lp_warm_pivot_budget;
                 const LpResult child = context_.solve(lower, upper, probe, &workspace);
                 lower[j] = saved_lower;
                 upper[j] = saved_upper;
@@ -546,7 +553,7 @@ private:
                     // the variable useless-to-branch everywhere and drag the
                     // table-wide fallback average toward zero. Real zero
                     // observations still arrive from processed tree nodes.
-                    if (gain > options_.absolute_gap) {
+                    if (gain > kAbsoluteGap) {
                         pseudocosts_.record(c.var, up, up ? 1.0 - f : f, gain);
                     }
                 } else if (child.status == LpStatus::kInfeasible) {
@@ -575,7 +582,7 @@ private:
     // box clipped globally. Workers resync on the version bump.
     void tighten_from_incumbent() {
         if (root_reduced_costs_.empty() || !has_incumbent_) return;
-        const double slack = (incumbent_ - options_.absolute_gap) - root_bound_;
+        const double slack = (incumbent_ - kAbsoluteGap) - root_bound_;
         if (!std::isfinite(slack) || slack < 0.0) return;
         bool changed = false;
         for (std::size_t j = 0; j < root_reduced_costs_.size(); ++j) {
@@ -620,7 +627,7 @@ private:
         if (better) tighten_from_incumbent();
         // Prune on publish: open nodes that can no longer beat the incumbent
         // are dropped immediately instead of at pop time.
-        const double cutoff = incumbent_ - options_.absolute_gap;
+        const double cutoff = incumbent_ - kAbsoluteGap;
         std::erase_if(open_, [&](const Node& n) { return n.parent_bound >= cutoff; });
         std::make_heap(open_.begin(), open_.end(), NodeOrder{});
     }
@@ -723,7 +730,7 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
         // it contradicts a presolve fixing (it was infeasible anyway).
         std::vector<double> reduced_start;
         if (pre.restrict(*options.warm_start, reduced_start,
-                         options.integrality_tolerance * 10)) {
+                         kIntegralityTolerance * 10)) {
             reduced_options.warm_start = std::move(reduced_start);
         } else {
             reduced_options.warm_start.reset();

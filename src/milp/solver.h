@@ -40,7 +40,7 @@ enum class MilpStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(MilpStatus s) noexcept;
 
 // The common knobs (threads, seed, time_limit_seconds, iteration_limit,
-// verbosity, sink, deadline) are inherited from core::CommonOptions:
+// sink, deadline) are inherited from core::CommonOptions:
 // `threads` is the branch-and-bound worker count (0 = hardware concurrency),
 // `time_limit_seconds` the search's wall-clock budget (default 60 s; any
 // value <= 0 means "no budget" — here, in the LP kernel, and in every warm
@@ -49,16 +49,14 @@ enum class MilpStatus : std::uint8_t {
 // lanes plus bb.*/lp.* counters, and an active `deadline` token is polled by
 // every worker between nodes and inside the simplex pivot loops — expiry
 // stops the search cooperatively and returns the incumbent as kTimeLimit
-// (kNoSolution when there is none) instead of throwing.
+// (kNoSolution when there is none) instead of throwing. The search's
+// tolerances (integrality 1e-6, absolute gap 1e-6), its per-node LP pivot
+// cap (200000) and its root strong-branching budget (8 candidates, 400
+// pivots each) are constants in milp/solver.cc (DESIGN.md §5i).
 struct MilpOptions : core::CommonOptions {
     MilpOptions() noexcept { time_limit_seconds = 60.0; }
 
     std::int64_t node_limit = 1'000'000;
-    // Pivot cap for one node LP (distinct from the search-wide
-    // CommonOptions::iteration_limit).
-    std::int64_t lp_iteration_limit = 200000;
-    double integrality_tolerance = 1e-6;
-    double absolute_gap = 1e-6;  // stop when incumbent - bound <= gap
     // Warm start child LPs from the parent's exported basis (disable only to
     // measure the cold-solve baseline; results are identical either way).
     bool warm_lp_basis = true;
@@ -67,13 +65,6 @@ struct MilpOptions : core::CommonOptions {
     // postsolved back to the original space. The objective is identical
     // either way.
     bool presolve = true;
-    // Pivots since the last factorization that force a refactorization in
-    // the revised LP kernel (forwarded to LpOptions::refactor_interval).
-    int lp_refactor_interval = 64;
-    // Pivot allowance for one warm LP attempt before it abandons to cold
-    // (forwarded to LpOptions::warm_pivot_budget; 0 = the kernel's auto
-    // heuristic).
-    std::int64_t lp_warm_pivot_budget = 0;
     // Root cutting-plane rounds (milp/cuts.h): knapsack cover + clique cuts
     // separated at the root relaxation before the search starts. Every cut
     // is valid for the integer hull, so the objective is identical with any
@@ -83,13 +74,6 @@ struct MilpOptions : core::CommonOptions {
     // branching at the root, instead of most-fractional. Off = the plain
     // most-fractional rule (kept for A/B benchmarking).
     bool pseudocost_branching = true;
-    // Fractional root candidates probed by strong branching, and the pivot
-    // cap for each probe LP. Probes that report zero degradation (routine at
-    // the degenerate vertices the LU kernel lands on) are discarded rather
-    // than seeded, so widening the list past this point only buys root time,
-    // not smaller trees — 8 is the measured knee on the P#1-scale instances.
-    int strong_branch_candidates = 8;
-    std::int64_t strong_branch_pivot_limit = 400;
     // Benders-style decomposition (milp/decompose.h): a placement master
     // over everything but the per-pair path variables, plus per-pair path
     // subproblems generating optimality/feasibility cuts. Falls back to the

@@ -13,12 +13,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace hermes::sim {
 
-// Sentinel "no slot" index (also the exhaustion signal from alloc()).
+// Sentinel "no slot" index (the end of the free list).
 inline constexpr std::uint32_t kArenaNull = 0xffffffffu;
 
 struct ArenaStats {
@@ -30,19 +29,17 @@ struct ArenaStats {
     std::size_t blocks = 0;          // blocks allocated
 };
 
-// One-line human-readable summary (bench/debug output).
-[[nodiscard]] std::string to_string(const ArenaStats& stats);
-
 template <typename T>
 class Arena {
 public:
-    // `block_size` slots are allocated at a time; `max_items` caps the total
-    // slot count (0 = unbounded). T must be default-constructible; slots are
-    // reused by assignment, never destroyed until the arena dies.
-    explicit Arena(std::size_t block_size = 4096, std::size_t max_items = 0)
-        : block_size_(block_size == 0 ? 1 : block_size), max_items_(max_items) {}
+    // `block_size` slots are allocated at a time. T must be
+    // default-constructible; slots are reused by assignment, never destroyed
+    // until the arena dies.
+    explicit Arena(std::size_t block_size = 4096)
+        : block_size_(block_size == 0 ? 1 : block_size) {}
 
-    // Returns a slot index, or kArenaNull when max_items is exhausted.
+    // Returns a slot index, growing the storage by one block when every
+    // slot is live.
     [[nodiscard]] std::uint32_t alloc() {
         std::uint32_t idx;
         if (free_head_ != kArenaNull) {
@@ -50,7 +47,6 @@ public:
             free_head_ = next_free_[idx];
             ++stats_.reuses;
         } else {
-            if (max_items_ != 0 && used_ >= max_items_) return kArenaNull;
             if (used_ == stats_.capacity) grow();
             idx = static_cast<std::uint32_t>(used_++);
         }
@@ -92,7 +88,6 @@ private:
     }
 
     std::size_t block_size_;
-    std::size_t max_items_;
     std::size_t used_ = 0;  // slots handed out at least once
     std::uint32_t free_head_ = kArenaNull;
     std::vector<std::unique_ptr<T[]>> blocks_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/objective.h"
+#include "core/repair.h"
 #include "obs/obs.h"
 #include "sim/engine.h"
 #include "sim/events.h"
@@ -146,23 +147,6 @@ std::vector<HopSpec> hops_from_path(const net::Network& net, const net::Path& pa
     return hops;
 }
 
-namespace {
-
-// A recorded route is only usable while every switch it visits is up and
-// every link it crosses is live; failures must force a re-resolution rather
-// than silently simulating traffic through dead hardware.
-bool path_alive(const net::Network& net, const net::Path& path) {
-    for (const net::SwitchId s : path.switches) {
-        if (!net.switch_up(s)) return false;
-    }
-    for (std::size_t i = 1; i < path.switches.size(); ++i) {
-        if (!net.link_latency(path.switches[i - 1], path.switches[i])) return false;
-    }
-    return true;
-}
-
-}  // namespace
-
 std::vector<HopSpec> deployment_hops(const tdg::Tdg& t, const net::Network& net,
                                      const core::Deployment& d,
                                      net::PathOracle* oracle) {
@@ -179,11 +163,12 @@ std::vector<HopSpec> deployment_hops(const tdg::Tdg& t, const net::Network& net,
     for (std::size_t i = 1; i < order.size(); ++i) {
         const auto it = d.routes.find({order[i - 1], order[i]});
         net::Path path;
-        if (it != d.routes.end() && path_alive(net, it->second)) {
+        if (it != d.routes.end() && core::route_alive(net, it->second)) {
             path = it->second;
         } else {
             // No recorded route, or the recorded route crosses failed
-            // hardware: resolve a live shortest path instead.
+            // hardware: resolve a live shortest path instead, rather than
+            // simulate traffic through dead hardware.
             auto sp = oracle ? oracle->path(order[i - 1], order[i])
                              : net::shortest_path(net, order[i - 1], order[i]);
             if (!sp) {

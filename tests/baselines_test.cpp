@@ -90,23 +90,6 @@ TEST(Baselines, UnionKeepsProgramsSeparate) {
     }
 }
 
-TEST(Baselines, StagePackerFirstFit) {
-    StagePacker p(3, 1.0);
-    EXPECT_EQ(p.place(0.6, 0), 0);
-    EXPECT_EQ(p.place(0.6, 0), 1);  // does not fit stage 0 anymore
-    EXPECT_EQ(p.place(0.4, 0), 0);
-    EXPECT_EQ(p.place(0.5, 2), 2);  // min_stage honored
-    EXPECT_FALSE(p.place(0.7, 2).has_value());
-    EXPECT_FALSE(p.place(1.5, 0).has_value());  // larger than a stage
-    EXPECT_NEAR(p.remaining_total(), 3.0 - 2.1, 1e-9);
-}
-
-TEST(Baselines, StagePackerValidation) {
-    EXPECT_THROW(StagePacker(0, 1.0), std::invalid_argument);
-    StagePacker p(2, 1.0);
-    EXPECT_THROW(p.commit(5, 0.1), std::out_of_range);
-}
-
 TEST(Baselines, MilpPackMinimizesMakespan) {
     // Three independent 0.5 MATs in stages of capacity 1.0: two stages max,
     // exact packing should use stage 0 twice and stage 1 once -> makespan 1.

@@ -42,6 +42,36 @@ TEST(Deployment, MatsOnSortsByStage) {
     EXPECT_TRUE(d.mats_on(9).empty());
 }
 
+TEST(StagePacker, FirstFit) {
+    StagePacker p(3, 1.0);
+    EXPECT_EQ(p.place(0.6, 0), 0);
+    EXPECT_EQ(p.place(0.6, 0), 1);  // does not fit stage 0 anymore
+    EXPECT_EQ(p.place(0.4, 0), 0);
+    EXPECT_EQ(p.place(0.5, 2), 2);  // min_stage honored
+    EXPECT_FALSE(p.place(0.7, 2).has_value());
+    EXPECT_FALSE(p.place(1.5, 0).has_value());  // larger than a stage
+    EXPECT_NEAR(p.remaining_total(), 3.0 - 2.1, 1e-9);
+}
+
+TEST(StagePacker, Validation) {
+    EXPECT_THROW(StagePacker(0, 1.0), std::invalid_argument);
+    StagePacker p(2, 1.0);
+    EXPECT_THROW(p.commit(5, 0.1), std::out_of_range);
+}
+
+TEST(ChainFirstFit, FollowsPredecessorsAndReportsExhaustion) {
+    // a -> b -> c, 0.6 units each, on a chain of two one-stage switches.
+    const tdg::Tdg t = chain({0.6, 0.6, 0.6});
+    const std::vector<net::SwitchId> switches{7, 3};
+    std::vector<StagePacker> packers{StagePacker(1, 1.0), StagePacker(1, 1.0)};
+    Deployment d;
+    std::vector<bool> placed;
+    EXPECT_FALSE(chain_first_fit(t, {0, 1, 2}, switches, packers, d, placed));
+    EXPECT_EQ(d.placements[0].sw, 7u);
+    EXPECT_EQ(d.placements[1].sw, 3u);  // after its predecessor's switch
+    EXPECT_EQ(placed, (std::vector<bool>{true, true, false}));  // c found no slot
+}
+
 TEST(AssignStages, RespectsDependencies) {
     const tdg::Tdg t = chain({0.4, 0.4, 0.4});
     const auto stages = assign_stages(t, {0, 1, 2}, 4, 1.0);

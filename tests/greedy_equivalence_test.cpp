@@ -4,9 +4,9 @@
 // edge-rescanning implementations with adjacency-indexed incremental ones;
 // the seed code survives verbatim in core/greedy_reference.h. These tests
 // pin the rewrite to the reference: identical segment output on seeded
-// random TDGs across geometries, identical deployments from the parallel
-// anchor search at any thread count, and oracle answers identical to the
-// free path functions.
+// random TDGs across geometries, identical deployments from the
+// oracle-backed anchor search, and oracle answers identical to the free
+// path functions.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -179,25 +179,16 @@ TEST(GreedyEquivalence, FullPipelineMatchesReferenceOnTestbed) {
     EXPECT_TRUE(same_deployment(ours, theirs));
 }
 
-TEST(GreedyEquivalence, ParallelAnchorSearchIsDeterministic) {
+TEST(GreedyEquivalence, AnchorSearchMatchesSeedPipelineOnWan) {
     const auto programs = prog::paper_workload(12, 0x777);
     std::vector<tdg::Tdg> tdgs;
     for (const auto& p : programs) tdgs.push_back(p.to_tdg());
     const tdg::Tdg merged = tdg::analyze_programs(std::move(tdgs));
     const net::Network n = net::table3_topology(3);
 
+    // The cached search must match the uncached seed pipeline.
     net::PathOracle oracle(n);
-    GreedyOptions serial;
-    serial.threads = 1;
-    const GreedyResult base = greedy_deploy(merged, n, serial, &oracle);
-    for (const int threads : {2, 8, 0}) {
-        GreedyOptions opts;
-        opts.threads = threads;
-        net::PathOracle fresh(n);  // also exercise cold-cache parallel fills
-        const GreedyResult parallel = greedy_deploy(merged, n, opts, &fresh);
-        EXPECT_TRUE(same_deployment(base, parallel)) << "threads=" << threads;
-    }
-    // And the serial cached run must match the uncached seed pipeline.
+    const GreedyResult base = greedy_deploy(merged, n, {}, &oracle);
     const GreedyResult seed = reference::greedy_deploy(merged, n);
     EXPECT_TRUE(same_deployment(base, seed));
 }

@@ -125,6 +125,23 @@ TEST(Greedy, SingleSwitchWhenEverythingFits) {
     EXPECT_EQ(result.deployment.occupied_switches().size(), 1u);
 }
 
+TEST(Greedy, MatWithinTheStageToleranceIsPlaced) {
+    // One MAT 5e-10 past a stage: inside the 1e-9 tolerance the verifier
+    // allows, so every packer must take it too.
+    sim::TestbedConfig config;
+    config.switch_count = 1;
+    tdg::Tdg t;
+    t.add_node(mat("snug", config.stage_capacity + 5e-10));
+    EXPECT_EQ(assign_stages(t, {0}, config.stages, config.stage_capacity),
+              (std::vector<int>{0}));
+    const net::Network n = sim::make_testbed(config);
+    const GreedyResult result = greedy_deploy(t, n);
+    EXPECT_EQ(result.deployment.placements[0].stage, 0);
+    const VerificationReport report = verify(t, n, result.deployment);
+    EXPECT_TRUE(report.ok) << (report.violations.empty() ? ""
+                                                         : report.violations.front());
+}
+
 TEST(Greedy, ThrowsWhenNotEnoughSwitches) {
     const tdg::Tdg t = fig4_tdg();
     sim::TestbedConfig config;

@@ -101,8 +101,8 @@ program specs : real[:N] | sketches | synthetic:N[:seed] | *.p4mini | *.prog
 topology specs: testbed[:switches[:stages]] | table3:<id> | random:<n>:<e>[:seed]
 strategies    : greedy (default) | optimal | ms | sonata | speed | mtp | fp
                 | p4all | ffl | ffls
---threads     : branch-and-bound / anchor-search workers
-                (default 0 = all hardware threads)
+--threads     : branch-and-bound workers of the exact solves (optimal and
+                the ILP baselines; default 0 = all hardware threads)
 --seed        : RNG seed handed to the solver options (default 1)
 --trace-out   : write a Chrome trace_event JSON of the run
 --metrics-out : write the run's counters and histograms as JSON
@@ -393,7 +393,6 @@ int cmd_solve(const std::vector<std::string>& args, bool require_fault_script) {
     net::PathOracle oracle(network);
     // Shared by the greedy/optimal deploy and the fault replay's repairs.
     core::HermesOptions hermes_options;
-    hermes_options.threads = options.threads;
     hermes_options.seed = options.seed;
     hermes_options.sink = sink;
     hermes_options.epsilon1 = options.eps1;
@@ -418,7 +417,6 @@ int cmd_solve(const std::vector<std::string>& args, bool require_fault_script) {
         const auto it = names.find(options.strategy);
         if (it == names.end()) usage("unknown strategy '" + options.strategy + "'");
         baselines::BaselineOptions baseline_options;
-        baseline_options.threads = options.threads;
         baseline_options.seed = options.seed;
         baseline_options.sink = sink;
         baseline_options.epsilon1 = options.eps1;

@@ -15,7 +15,7 @@
 //   --topology <spec>       testbed[:n[:stages]] | table3:<id> | random:<n>:<e>[:seed]
 //   --eps1 <us>             end-to-end latency bound (default: unbounded)
 //   --eps2 <switches>       occupied-switch bound (default: unbounded)
-//   --threads <n>           solver worker threads (default 1)
+//   --threads <n>           branch-and-bound worker threads (default 1)
 //   --seed <n>              RNG seed (default 1)
 //   --epoch-deadline <s>    wall-clock budget per epoch re-solve (0 = none)
 //   --repair-deadline <s>   alias of --epoch-deadline (the paper-facing
