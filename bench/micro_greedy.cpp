@@ -6,16 +6,19 @@
 // testbed, a k=4 fat-tree, and Topology-Zoo scale (Table III topology 10) —
 // and writes the before/after trajectory to BENCH_greedy.json (pass
 // --sweep-only to skip the google-benchmark portion, --json=PATH to redirect
-// the output). The sweep exits 1 when the two pipelines pick different
-// anchors. Accepts the common tool flags --threads/--seed/--time-limit
-// (--threads is ignored: the greedy is serial) and the obs exports
-// --trace-out/--metrics-out (see bench_util.h); unknown flags other than
-// --benchmark_* exit 2.
+// the output). The sweep exits 1, naming the first difference, unless the
+// two pipelines return the same anchor, segments, placements (switch and
+// stage per MAT) and routes. Accepts the common tool flags
+// --threads/--seed/--time-limit (--threads is ignored: the greedy is
+// serial) and the obs exports --trace-out/--metrics-out (see
+// bench_util.h); unknown flags other than --benchmark_* exit 2.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <string>
 
 #include "bench_util.h"
 #include "core/greedy.h"
@@ -71,6 +74,56 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
+// The first way two greedy results differ, or "" when they agree on the
+// anchor, every segment, every MAT's switch and stage, and every route's
+// switches (greedy_equivalence_test's same_deployment, spelled out).
+std::string first_difference(const core::GreedyResult& seed,
+                             const core::GreedyResult& indexed) {
+    std::ostringstream out;
+    if (seed.anchor != indexed.anchor) {
+        out << "anchor " << seed.anchor << " vs " << indexed.anchor;
+        return out.str();
+    }
+    if (seed.segments.size() != indexed.segments.size()) {
+        out << "segment count " << seed.segments.size() << " vs "
+            << indexed.segments.size();
+        return out.str();
+    }
+    for (std::size_t i = 0; i < seed.segments.size(); ++i) {
+        if (seed.segments[i] != indexed.segments[i]) {
+            out << "segment " << i;
+            return out.str();
+        }
+    }
+    const auto& a = seed.deployment.placements;
+    const auto& b = indexed.deployment.placements;
+    if (a.size() != b.size()) {
+        out << "placement count " << a.size() << " vs " << b.size();
+        return out.str();
+    }
+    for (std::size_t v = 0; v < a.size(); ++v) {
+        if (a[v].sw != b[v].sw || a[v].stage != b[v].stage) {
+            out << "MAT " << v << " at switch " << a[v].sw << " stage " << a[v].stage
+                << " vs switch " << b[v].sw << " stage " << b[v].stage;
+            return out.str();
+        }
+    }
+    const auto& ra = seed.deployment.routes;
+    const auto& rb = indexed.deployment.routes;
+    if (ra.size() != rb.size()) {
+        out << "route count " << ra.size() << " vs " << rb.size();
+        return out.str();
+    }
+    for (const auto& [pair, path] : ra) {
+        const auto it = rb.find(pair);
+        if (it == rb.end() || it->second.switches != path.switches) {
+            out << "route " << pair.first << "->" << pair.second;
+            return out.str();
+        }
+    }
+    return "";
+}
+
 struct SweepInstance {
     std::string name;
     net::Network network;
@@ -78,10 +131,10 @@ struct SweepInstance {
 };
 
 // End-to-end greedy_deploy, seed pipeline vs indexed + oracle, per
-// instance. Results must agree (the equivalence suite enforces it; here
-// we cross-check the anchor as a cheap canary). The indexed runs record
-// through `sink` (null = off), so --metrics-out captures the greedy.* and
-// oracle.* counters of the sweep.
+// instance. Results must agree: the equivalence suite enforces it, and the
+// sweep checks its own instances whole. The indexed runs record through
+// `sink` (null = off), so --metrics-out captures the greedy.* and oracle.*
+// counters of the sweep.
 void run_sweeps(const bench::ToolArgs& args) {
     std::vector<bench::BenchRecord> records;
 
@@ -116,8 +169,9 @@ void run_sweeps(const bench::ToolArgs& args) {
                                                              &oracle);
         const double after_secs = seconds_since(after_start);
 
-        if (after.anchor != before.anchor) {
-            std::cerr << "MISMATCH on " << inst.name << ": anchors differ\n";
+        if (const std::string diff = first_difference(before, after); !diff.empty()) {
+            std::cerr << "MISMATCH on " << inst.name << ": " << diff
+                      << " (seed vs indexed)\n";
             std::exit(1);
         }
         const double speedup = before_secs / after_secs;

@@ -139,8 +139,52 @@ bool chain_first_fit(const tdg::Tdg& t, const std::vector<tdg::NodeId>& order,
 }
 
 SegmentPacker::SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity)
-    : t_(t), loads_(stages, stage_capacity), stage_(t.node_count(), -1) {
+    : t_(t), loads_(stages, stage_capacity), position_(t.node_count()),
+      stage_(t.node_count(), -1) {
+    const std::vector<tdg::NodeId> order = t.topological_order();
+    for (std::size_t i = 0; i < order.size(); ++i) position_[order[i]] = i;
     index_in_edges(t, pred_first_, preds_);
+}
+
+void SegmentPacker::sort_topologically(std::vector<tdg::NodeId>& nodes) const {
+    std::sort(nodes.begin(), nodes.end(), [&](tdg::NodeId a, tdg::NodeId b) {
+        return position_[a] < position_[b];
+    });
+}
+
+std::optional<std::vector<int>> SegmentPacker::pack(const std::vector<tdg::NodeId>& segment) {
+    for (const tdg::NodeId v : segment) {
+        if (v >= stage_.size()) throw std::out_of_range("SegmentPacker::pack: bad node id");
+    }
+    // Sorting by position offers the members in the order the whole-TDG
+    // topological order filtered by membership would, and puts a repeated
+    // id next to itself.
+    order_.assign(segment.begin(), segment.end());
+    sort_topologically(order_);
+    if (std::adjacent_find(order_.begin(), order_.end()) != order_.end()) {
+        throw std::invalid_argument("SegmentPacker::pack: duplicate nodes in segment");
+    }
+    bool packed = true;
+    for (const tdg::NodeId v : order_) {
+        if (place(v) < 0) {
+            packed = false;
+            break;
+        }
+    }
+    std::optional<std::vector<int>> result;
+    if (packed) {
+        result.emplace(segment.size());
+        for (std::size_t i = 0; i < segment.size(); ++i) (*result)[i] = stage_[segment[i]];
+    }
+    clear();
+    return result;
+}
+
+bool SegmentPacker::fits(const std::vector<tdg::NodeId>& segment) {
+    double total = 0.0;
+    for (const tdg::NodeId v : segment) total += t_.node(v).resource_units();
+    if (total > loads_.stages() * loads_.capacity() + 1e-9) return false;
+    return pack(segment).has_value();
 }
 
 int SegmentPacker::place(tdg::NodeId v) {
@@ -174,27 +218,7 @@ void SegmentPacker::clear() {
 std::optional<std::vector<int>> assign_stages(const tdg::Tdg& t,
                                               const std::vector<tdg::NodeId>& segment,
                                               int stages, double stage_capacity) {
-    if (stages <= 0 || stage_capacity <= 0.0) {
-        throw std::invalid_argument("assign_stages: bad switch geometry");
-    }
-    const std::size_t n = t.node_count();
-    std::vector<char> member(n, 0);
-    for (const tdg::NodeId v : segment) {
-        if (v >= n) throw std::out_of_range("assign_stages: bad node id");
-        if (member[v]) {
-            throw std::invalid_argument("assign_stages: duplicate nodes in segment");
-        }
-        member[v] = 1;
-    }
-
-    // Pack in global topological order restricted to the segment.
-    SegmentPacker packer(t, stages, stage_capacity);
-    for (const tdg::NodeId v : t.topological_order()) {
-        if (member[v] && packer.place(v) < 0) return std::nullopt;
-    }
-    std::vector<int> result(segment.size());
-    for (std::size_t i = 0; i < segment.size(); ++i) result[i] = packer.stage_of(segment[i]);
-    return result;
+    return SegmentPacker(t, stages, stage_capacity).pack(segment);
 }
 
 namespace {
@@ -268,10 +292,7 @@ std::optional<std::vector<int>> assign_stages_exact(const tdg::Tdg& t,
 
 bool segment_fits(const tdg::Tdg& t, const std::vector<tdg::NodeId>& segment, int stages,
                   double stage_capacity) {
-    double total = 0.0;
-    for (const tdg::NodeId v : segment) total += t.node(v).resource_units();
-    if (total > stages * stage_capacity + 1e-9) return false;
-    return assign_stages(t, segment, stages, stage_capacity).has_value();
+    return SegmentPacker(t, stages, stage_capacity).fits(segment);
 }
 
 }  // namespace hermes::core

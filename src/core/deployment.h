@@ -81,18 +81,41 @@ private:
                                    std::size_t start_hint = 0);
 
 // Packs one segment onto one switch's stages by the topological first-fit
-// rule that assign_stages, split_tdg_first_fit and dp_split all share. Nodes
-// are offered in topological order; each lands in the earliest stage after
-// its packed predecessors that the StagePacker rule accepts, and a node that
-// no stage can take leaves the packing as it was. Packing never moves a node
-// already packed, so growing a segment node by node packs it exactly as a
-// whole re-pack would, and once a node is refused every longer segment
-// fails too.
+// rule that every segment-level fit check shares (assign_stages,
+// segment_fits, the greedy's splitter, coalescer and anchor scan,
+// split_tdg_first_fit and dp_split). Nodes are offered in topological order;
+// each lands in the earliest stage after its packed predecessors that the
+// StagePacker rule accepts, and a node that no stage can take leaves the
+// packing as it was. Packing never moves a node already packed, so growing
+// a segment node by node packs it exactly as a whole re-pack would, and
+// once a node is refused every longer segment fails too.
+//
+// Construction sorts the whole TDG once; after that a pack() or fits() of
+// k nodes costs O(k log k + Σ in-degree), so a caller asking many fit
+// questions of one TDG and geometry builds one packer and reuses it.
 class SegmentPacker {
 public:
-    // Indexes t's in-edges once, O(V + E). Throws std::invalid_argument on a
-    // bad geometry, as StagePacker does.
+    // Sorts t topologically and indexes its in-edges once,
+    // O((V + E) log V). Throws std::invalid_argument on a bad geometry, as
+    // StagePacker does, and std::runtime_error when t has a cycle.
     SegmentPacker(const tdg::Tdg& t, int stages, double stage_capacity);
+
+    // Packs `segment` (distinct node ids, in any order) into an empty
+    // packer, offering its members in t's topological order. Returns the
+    // stage per segment node (parallel to `segment`), or nullopt when some
+    // member finds no stage. Throws std::out_of_range on a bad id and
+    // std::invalid_argument on a duplicate, before packing anything. Leaves
+    // the packer empty in every case, so pack() and fits() calls can follow
+    // one another without a clear().
+    [[nodiscard]] std::optional<std::vector<int>> pack(const std::vector<tdg::NodeId>& segment);
+
+    // The paper's aggregate test ΣR(a) <= stages × capacity (+1e-9), summed
+    // in `segment` order, then pack().
+    [[nodiscard]] bool fits(const std::vector<tdg::NodeId>& segment);
+
+    // Sorts `nodes` into t's topological order, the order pack() offers
+    // them in.
+    void sort_topologically(std::vector<tdg::NodeId>& nodes) const;
 
     // Packs v. Its packed predecessors are taken to be its predecessors in
     // the segment. Returns v's stage, or -1 when no stage can take it.
@@ -113,10 +136,12 @@ public:
 private:
     const tdg::Tdg& t_;
     StagePacker loads_;                    // per-stage loads, and the fit rule
+    std::vector<std::size_t> position_;    // per node: its index in t's topological order
     std::vector<std::size_t> pred_first_;  // in-edges of v: preds_[pred_first_[v] ..
     std::vector<tdg::NodeId> preds_;       //   pred_first_[v + 1]), in edge order
     std::vector<int> stage_;               // per node; -1 while unpacked
     std::vector<tdg::NodeId> packed_;
+    std::vector<tdg::NodeId> order_;       // pack()'s segment, sorted by position_
     double total_ = 0.0;
 };
 
@@ -125,7 +150,9 @@ private:
 // topological first-fit that respects intra-segment dependencies
 // (stage(a) < stage(b) for every edge) and per-stage capacity. Returns the
 // stage per segment node (parallel to `segment`), or nullopt when the
-// segment cannot fit.
+// segment cannot fit. One SegmentPacker::pack on a packer built for this
+// call, so each call sorts the whole TDG, O((V + E) log V); reuse one
+// SegmentPacker to ask many questions of one TDG.
 [[nodiscard]] std::optional<std::vector<int>> assign_stages(
     const tdg::Tdg& t, const std::vector<tdg::NodeId>& segment, int stages,
     double stage_capacity);
@@ -141,6 +168,8 @@ private:
 
 // True when `segment` fits one switch with the given geometry (both the
 // paper's aggregate test ΣR(a) <= C_stage * C_res and actual stage packing).
+// One SegmentPacker::fits on a packer built for this call, at the whole-TDG
+// cost of assign_stages.
 [[nodiscard]] bool segment_fits(const tdg::Tdg& t, const std::vector<tdg::NodeId>& segment,
                                 int stages, double stage_capacity);
 

@@ -15,35 +15,23 @@ namespace hermes::core {
 
 namespace {
 
-// Adjacency-indexed view of the TDG: per-node out-/in-edge lists plus the
-// node's position in the global topological order. Built once per splitting
-// or coalescing call, it replaces the full-edge-list rescans the original
-// implementations performed at every prefix position / adjacent pair.
+// Adjacency-indexed view of the TDG: per-node out-/in-edge lists with
+// their metadata bytes. Built once per splitting or coalescing call, it
+// replaces the full-edge-list rescans the original implementations
+// performed at every prefix position / adjacent pair.
 struct TdgIndex {
     struct Arc {
         tdg::NodeId peer = 0;
         int bytes = 0;
     };
-    std::vector<std::size_t> topo_pos;  // node -> position in topological order
     std::vector<std::vector<Arc>> out;
     std::vector<std::vector<Arc>> in;
 
-    explicit TdgIndex(const tdg::Tdg& t)
-        : topo_pos(t.node_count()), out(t.node_count()), in(t.node_count()) {
-        const std::vector<tdg::NodeId> topo = t.topological_order();
-        for (std::size_t i = 0; i < topo.size(); ++i) topo_pos[topo[i]] = i;
+    explicit TdgIndex(const tdg::Tdg& t) : out(t.node_count()), in(t.node_count()) {
         for (const tdg::Edge& e : t.edges()) {
             out[e.from].push_back({e.to, e.metadata_bytes});
             in[e.to].push_back({e.from, e.metadata_bytes});
         }
-    }
-
-    // Sorting by topological position equals filtering the global order by
-    // membership (both deterministic), without the O(V) full-order scan.
-    void sort_topologically(std::vector<tdg::NodeId>& nodes) const {
-        std::sort(nodes.begin(), nodes.end(), [&](tdg::NodeId a, tdg::NodeId b) {
-            return topo_pos[a] < topo_pos[b];
-        });
     }
 };
 
@@ -62,17 +50,18 @@ const net::SwitchProps& reference_geometry(const net::Network& net,
     return *best;
 }
 
-// Recursive worker of split_tdg. `member` and `in_prefix` are node-indexed
-// scratch flags owned by the top-level call; they are zero outside the
-// nodes this invocation touches and zeroed again before it returns or
-// recurses, so one allocation serves the whole recursion tree. One split
-// level costs O(k log k + Σ deg) for k nodes instead of O(k·E).
-void split_worker(const tdg::Tdg& t, const TdgIndex& index,
-                  std::vector<tdg::NodeId> nodes, int stages, double stage_capacity,
-                  std::vector<char>& member, std::vector<char>& in_prefix,
+// Recursive worker of split_tdg. `packer` answers every fit check, and
+// `member` and `in_prefix` are node-indexed scratch flags; all three are
+// owned by the top-level call. The flags are zero outside the nodes this
+// invocation touches and zeroed again before it returns or recurses, so one
+// allocation serves the whole recursion tree. One split level, its fit
+// check included, costs O(k log k + Σ deg) for k nodes instead of O(k·E).
+void split_worker(const tdg::Tdg& t, const TdgIndex& index, SegmentPacker& packer,
+                  std::vector<tdg::NodeId> nodes, std::vector<char>& member,
+                  std::vector<char>& in_prefix,
                   std::vector<std::vector<tdg::NodeId>>& result) {
     if (nodes.empty()) return;
-    if (segment_fits(t, nodes, stages, stage_capacity)) {
+    if (packer.fits(nodes)) {
         result.push_back(std::move(nodes));
         return;
     }
@@ -81,7 +70,7 @@ void split_worker(const tdg::Tdg& t, const TdgIndex& index,
                                  "' cannot fit any switch");
     }
 
-    index.sort_topologically(nodes);
+    packer.sort_topologically(nodes);
     for (const tdg::NodeId v : nodes) member[v] = 1;
 
     // Scan prefix cuts in topological order, maintaining the crossing
@@ -113,10 +102,8 @@ void split_worker(const tdg::Tdg& t, const TdgIndex& index,
                                   nodes.begin() + static_cast<std::ptrdiff_t>(best_pos));
     std::vector<tdg::NodeId> tail(nodes.begin() + static_cast<std::ptrdiff_t>(best_pos),
                                   nodes.end());
-    split_worker(t, index, std::move(head), stages, stage_capacity, member, in_prefix,
-                 result);
-    split_worker(t, index, std::move(tail), stages, stage_capacity, member, in_prefix,
-                 result);
+    split_worker(t, index, packer, std::move(head), member, in_prefix, result);
+    split_worker(t, index, packer, std::move(tail), member, in_prefix, result);
 }
 
 // Reports a privately created oracle's cache activity (it starts at zero,
@@ -138,11 +125,11 @@ std::vector<std::vector<tdg::NodeId>> split_tdg(const tdg::Tdg& t,
                                                 double stage_capacity) {
     if (nodes.empty()) return {};
     const TdgIndex index(t);
+    SegmentPacker packer(t, stages, stage_capacity);
     std::vector<char> member(t.node_count(), 0);
     std::vector<char> in_prefix(t.node_count(), 0);
     std::vector<std::vector<tdg::NodeId>> result;
-    split_worker(t, index, std::move(nodes), stages, stage_capacity, member, in_prefix,
-                 result);
+    split_worker(t, index, packer, std::move(nodes), member, in_prefix, result);
     return result;
 }
 
@@ -151,12 +138,11 @@ std::vector<std::vector<tdg::NodeId>> split_tdg_first_fit(const tdg::Tdg& t,
                                                           int stages,
                                                           double stage_capacity) {
     if (nodes.empty()) return {};
-    const TdgIndex index(t);
-    index.sort_topologically(nodes);
+    SegmentPacker packer(t, stages, stage_capacity);
+    packer.sort_topologically(nodes);
 
     // Packing never moves a node already packed, so growing the open segment
     // node by node equals re-packing it whole at each step.
-    SegmentPacker packer(t, stages, stage_capacity);
     std::vector<std::vector<tdg::NodeId>> segments;
     std::vector<tdg::NodeId> current;
     for (const tdg::NodeId v : nodes) {
@@ -179,6 +165,7 @@ std::vector<std::vector<tdg::NodeId>> coalesce_segments(
     int stages, double stage_capacity) {
     if (segments.size() <= target) return segments;
     const TdgIndex index(t);
+    SegmentPacker packer(t, stages, stage_capacity);
     constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> seg_of(t.node_count(), kNone);
     for (std::size_t i = 0; i < segments.size(); ++i) {
@@ -197,7 +184,7 @@ std::vector<std::vector<tdg::NodeId>> coalesce_segments(
     auto pair_fits = [&](std::size_t i) {
         std::vector<tdg::NodeId> merged = segments[i];
         merged.insert(merged.end(), segments[i + 1].begin(), segments[i + 1].end());
-        return segment_fits(t, merged, stages, stage_capacity);
+        return packer.fits(merged);
     };
 
     // Adjacent-pair metadata and mergeability, cached: a merge only changes
@@ -315,15 +302,30 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
                                      geometry.stage_capacity);
     }
 
-    // Segment-fit memo shared by every anchor: all Tofino-profile switches
-    // ask the same (stages, capacity) question per segment, so each answer
-    // is packed once instead of once per anchor.
-    std::map<std::pair<int, double>, std::vector<signed char>> fit_cache;
-    auto segment_fits_cached = [&](std::size_t seg, int stages, double capacity) {
-        std::vector<signed char>& slot = fit_cache[{stages, capacity}];
-        if (slot.empty()) slot.assign(segments.size(), -1);
-        if (slot[seg] < 0) slot[seg] = segment_fits(t, segments[seg], stages, capacity) ? 1 : 0;
-        return slot[seg] == 1;
+    // One packer and one segment-fit memo per switch geometry, shared by
+    // every anchor: all Tofino-profile switches ask the same (stages,
+    // capacity) question per segment, so each answer is packed once instead
+    // of once per anchor, and the final stage assignment reuses the packer.
+    struct GeometryFits {
+        SegmentPacker packer;
+        std::vector<signed char> fits;  // per segment; -1 until asked
+    };
+    std::map<std::pair<int, double>, GeometryFits> by_geometry;
+    auto geometry_of = [&](net::SwitchId sw) -> GeometryFits& {
+        const net::SwitchProps& props = net.props(sw);
+        const std::pair<int, double> key{props.stages, props.stage_capacity};
+        auto it = by_geometry.find(key);
+        if (it == by_geometry.end()) {
+            GeometryFits fresh{SegmentPacker(t, props.stages, props.stage_capacity),
+                               std::vector<signed char>(segments.size(), -1)};
+            it = by_geometry.emplace(key, std::move(fresh)).first;
+        }
+        return it->second;
+    };
+    auto segment_fits_cached = [&](std::size_t seg, net::SwitchId sw) {
+        GeometryFits& g = geometry_of(sw);
+        if (g.fits[seg] < 0) g.fits[seg] = g.packer.fits(segments[seg]) ? 1 : 0;
+        return g.fits[seg] == 1;
     };
 
     // Anchors are scanned in ascending id order and a candidate replaces the
@@ -354,10 +356,7 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
             latency += hop;
         }
         for (std::size_t i = 0; i < segments.size(); ++i) {
-            if (!segment_fits_cached(i, net.props(chain[i]).stages,
-                                     net.props(chain[i]).stage_capacity)) {
-                return c;
-            }
+            if (!segment_fits_cached(i, chain[i])) return c;
         }
         c.feasible = true;
         c.latency = latency;
@@ -391,22 +390,20 @@ GreedyResult deploy_segments_on_chain(const tdg::Tdg& t, const net::Network& net
     }
 
     GreedyResult result;
-    result.segments = std::move(segments);
     result.anchor = best.anchor;
     result.deployment.placements.resize(t.node_count());
-    for (std::size_t i = 0; i < result.segments.size(); ++i) {
+    for (std::size_t i = 0; i < segments.size(); ++i) {
         const net::SwitchId sw = best.chain[i];
-        const auto stages = assign_stages(t, result.segments[i], net.props(sw).stages,
-                                          net.props(sw).stage_capacity);
+        const auto stages = geometry_of(sw).packer.pack(segments[i]);
         if (!stages) {
             throw std::runtime_error("greedy_deploy: stage assignment failed on switch " +
                                      net.props(sw).name);
         }
-        for (std::size_t j = 0; j < result.segments[i].size(); ++j) {
-            result.deployment.placements[result.segments[i][j]] =
-                Placement{sw, (*stages)[j]};
+        for (std::size_t j = 0; j < segments[i].size(); ++j) {
+            result.deployment.placements[segments[i][j]] = Placement{sw, (*stages)[j]};
         }
     }
+    result.segments = std::move(segments);
     for (std::size_t i = 0; i + 1 < best.chain.size(); ++i) {
         const net::SwitchId u = best.chain[i];
         const net::SwitchId v = best.chain[i + 1];

@@ -7,12 +7,13 @@
 //
 // The splitter and coalescer run on an adjacency-indexed view of the TDG
 // (out-/in-edge lists plus flat membership flags), so a split level's cut
-// scan is linear in the nodes it splits and their edges; its segment_fits
-// check costs one O((V + E) log V) topological sort of the whole TDG. The
-// anchor search is one serial loop over the programmable switches and
-// shares one net::PathOracle per Network. All rewrites are bit-identical to
-// the retained reference implementations in core/greedy_reference.h
-// (enforced by tests/greedy_equivalence_test).
+// scan is linear in the nodes it splits and their edges. Every fit check
+// goes through one core::SegmentPacker per call and switch geometry, which
+// sorts the whole TDG once when built; a check on k nodes then costs
+// O(k log k + Σ in-degree). The anchor search is one serial loop over the
+// programmable switches and shares one net::PathOracle per Network. All
+// rewrites are bit-identical to the retained reference implementations in
+// core/greedy_reference.h (enforced by tests/greedy_equivalence_test).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,8 @@ struct GreedyResult {
 // SPLIT_TDG: recursively partitions `nodes` (defaults to all of t) into
 // segments that each fit a switch with the given geometry, cutting at the
 // minimum-metadata topological prefix each time. Throws std::runtime_error
-// when a single MAT exceeds a stage's capacity.
+// when a single MAT exceeds a stage's capacity, and std::invalid_argument
+// on a bad geometry (as SegmentPacker does).
 [[nodiscard]] std::vector<std::vector<tdg::NodeId>> split_tdg(
     const tdg::Tdg& t, std::vector<tdg::NodeId> nodes, int stages, double stage_capacity);
 
@@ -62,12 +64,14 @@ struct GreedyResult {
                                                          const GreedyOptions& options,
                                                          net::PathOracle* oracle = nullptr);
 
-// Coalesces adjacent segments — smallest inter-segment metadata first —
-// while the merged pair still fits one switch, until at most `target`
-// segments remain or no merge applies. Recursive min-cut splitting can
-// over-fragment (a cut-minimizing split is not balance-aware); coalescing
-// restores feasibility on switch-starved networks without giving up the
-// minimum-metadata cuts.
+// Coalesces adjacent segments — the heaviest inter-segment metadata cut
+// first, the earliest pair on a tie — while the merged pair still fits one
+// switch, until at most `target` segments remain or no merge applies.
+// Merging the heaviest cut stops the most metadata from crossing switches.
+// Recursive min-cut splitting can over-fragment (a cut-minimizing split is
+// not balance-aware); coalescing restores feasibility on switch-starved
+// networks without giving up the minimum-metadata cuts. Throws
+// std::invalid_argument on a bad geometry when there is anything to merge.
 [[nodiscard]] std::vector<std::vector<tdg::NodeId>> coalesce_segments(
     const tdg::Tdg& t, std::vector<std::vector<tdg::NodeId>> segments,
     std::size_t target, int stages, double stage_capacity);

@@ -72,15 +72,15 @@ Tdg merge(const Tdg& t1, const Tdg& t2) {
 
 Tdg merge_all(std::vector<Tdg> tdgs) {
     if (tdgs.empty()) throw std::invalid_argument("merge_all: empty program set");
-    // Each incoming TDG is deduplicated internally first, then only its
-    // nodes are compared against the accumulated (already deduplicated)
-    // prefix — quadratic-in-total-size scans happen once, not per merge.
+    // Each incoming TDG is deduplicated internally first, appended in place
+    // (copying only its own nodes), then only its nodes are compared against
+    // the accumulated (already deduplicated) prefix — quadratic-in-total-size
+    // scans happen once, not per merge.
     Tdg merged = std::move(tdgs.front());
     deduplicate(merged);
     for (std::size_t i = 1; i < tdgs.size(); ++i) {
         deduplicate(tdgs[i]);
-        const std::size_t prefix = merged.node_count();
-        merged = graph_union(merged, tdgs[i]);
+        const std::size_t prefix = merged.append(tdgs[i]);
         deduplicate(merged, prefix);
     }
     return merged;

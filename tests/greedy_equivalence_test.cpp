@@ -5,11 +5,15 @@
 // the seed code survives verbatim in core/greedy_reference.h. These tests
 // pin the rewrite to the reference: identical segment output on seeded
 // random TDGs across geometries, identical deployments from the
-// oracle-backed anchor search, and oracle answers identical to the free
-// path functions.
+// oracle-backed anchor search, oracle answers identical to the free path
+// functions, and a reused SegmentPacker packing every segment as a fresh
+// whole-TDG pack does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
+#include <stdexcept>
 
 #include "core/greedy.h"
 #include "core/greedy_reference.h"
@@ -148,6 +152,96 @@ TEST(GreedyEquivalence, PaperWorkloadSplitsMatchReference) {
         EXPECT_EQ(split_tdg_first_fit(merged, all_nodes(merged), 12, 4.0),
                   reference::split_tdg_first_fit(merged, all_nodes(merged), 12, 4.0));
     }
+}
+
+// assign_stages as it was before SegmentPacker::pack: a fresh packer
+// offered the whole TDG's topological order filtered by membership.
+std::optional<std::vector<int>> fresh_pack(const tdg::Tdg& t,
+                                           const std::vector<NodeId>& segment,
+                                           const Geometry& g) {
+    std::vector<char> member(t.node_count(), 0);
+    for (const NodeId v : segment) {
+        if (v >= t.node_count()) throw std::out_of_range("fresh_pack: bad node id");
+        if (member[v]) throw std::invalid_argument("fresh_pack: duplicate node");
+        member[v] = 1;
+    }
+    SegmentPacker packer(t, g.stages, g.stage_capacity);
+    for (const NodeId v : t.topological_order()) {
+        if (member[v] && packer.place(v) < 0) return std::nullopt;
+    }
+    std::vector<int> stages(segment.size());
+    for (std::size_t i = 0; i < segment.size(); ++i) stages[i] = packer.stage_of(segment[i]);
+    return stages;
+}
+
+TEST(GreedyEquivalence, ReusedSegmentPackerMatchesFreshPackOnRandomSubsets) {
+    std::mt19937 rng(0xbac4);
+    std::size_t refused = 0, fitted = 0, threw = 0, after_failure = 0, outside_preds = 0;
+    for (int trial = 0; trial < 3; ++trial) {
+        std::uniform_int_distribution<std::size_t> size(8, 60);
+        const tdg::Tdg t = random_tdg(rng, size(rng), 0.15);
+        for (const Geometry& g : kGeometries) {
+            SegmentPacker packer(t, g.stages, g.stage_capacity);
+            bool last_failed = false;
+            for (int round = 0; round < 200; ++round) {
+                // A random subset, in random order, of random density.
+                const double density = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+                std::bernoulli_distribution keep(density);
+                std::vector<char> member(t.node_count(), 0);
+                std::vector<NodeId> segment;
+                for (NodeId v = 0; v < t.node_count(); ++v) {
+                    if (keep(rng)) {
+                        member[v] = 1;
+                        segment.push_back(v);
+                    }
+                }
+                std::shuffle(segment.begin(), segment.end(), rng);
+                const std::string where = "trial " + std::to_string(trial) + " stages " +
+                                          std::to_string(g.stages) + " round " +
+                                          std::to_string(round);
+
+                // Every 13th subset carries a repeated or an out-of-range id.
+                if (round % 13 == 12) {
+                    if (round % 2 == 0 && !segment.empty()) {
+                        segment.push_back(segment.front());
+                        EXPECT_THROW((void)packer.pack(segment), std::invalid_argument) << where;
+                        EXPECT_THROW((void)fresh_pack(t, segment, g), std::invalid_argument);
+                    } else {
+                        segment.insert(segment.begin(), t.node_count() + 3);
+                        EXPECT_THROW((void)packer.pack(segment), std::out_of_range) << where;
+                        EXPECT_THROW((void)fresh_pack(t, segment, g), std::out_of_range);
+                    }
+                    ++threw;
+                    last_failed = true;
+                    continue;
+                }
+
+                const std::optional<std::vector<int>> expected = fresh_pack(t, segment, g);
+                ASSERT_EQ(packer.pack(segment), expected) << where;
+                double total = 0.0;
+                for (const NodeId v : segment) total += t.node(v).resource_units();
+                const bool aggregate = total <= g.stages * g.stage_capacity + 1e-9;
+                ASSERT_EQ(packer.fits(segment), aggregate && expected.has_value()) << where;
+
+                if (last_failed) ++after_failure;
+                last_failed = !expected.has_value();
+                ++(expected ? fitted : refused);
+                for (const tdg::Edge& e : t.edges()) {
+                    if (member[e.to] && !member[e.from]) {
+                        ++outside_preds;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    // The sequence covered refusals, throws, packs right after either, and
+    // members whose predecessors lie outside the segment.
+    EXPECT_GT(fitted, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(threw, 0u);
+    EXPECT_GT(after_failure, 0u);
+    EXPECT_GT(outside_preds, 0u);
 }
 
 bool same_deployment(const GreedyResult& a, const GreedyResult& b) {
